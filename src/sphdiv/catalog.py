@@ -18,10 +18,12 @@ Keys:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 from .datum import ColorRecord, SphericalDatum
-from .knoplie import LiePresentation, element, make_presentation
+from .knoplie import LiePresentation, _mat, _minv2, _mmul, element, make_presentation
 from .rootsys import Weight, build_root_system
 
 MAX_PARAM = 10
@@ -37,11 +39,20 @@ class Expected:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A worked example.  Its presentation is built on first read and
+    kept, since only the presentation-side typing and dumps need it."""
     key: str
     params: tuple[tuple[str, int], ...]
     datum: SphericalDatum
-    presentation: LiePresentation | None
+    build_presentation: Callable[[], LiePresentation] | None = \
+        field(repr=False, compare=False)
     expected: Expected
+
+    @cached_property
+    def presentation(self) -> LiePresentation | None:
+        if self.build_presentation is None:
+            return None
+        return self.build_presentation()
 
 
 _PARAMETRIC = {"toric", "brion_5_1", "brion_5_3", "brion_5_4"}
@@ -135,11 +146,11 @@ def _sl2_mod_T():
     colors = (ColorRecord("D1", (0,), "a", omega),
               ColorRecord("D2", (0,), "a", omega))
     datum = SphericalDatum(rs, frozenset(), colors, (alpha,), (alpha,))
-    pres = _sl2_presentation(rs, [[[0, 1], [1, 0]]])
+    build = partial(_sl2_presentation, rs, [[[0, 1], [1, 0]]])
     expected = Expected(("a", "a"), (1, 1), (2,),
                         (("types", "stated"), ("m", "stated"),
                          ("kappa", "trivial"), ("chi", "derived")))
-    return CatalogEntry("sl2_mod_T", (), datum, pres, expected)
+    return CatalogEntry("sl2_mod_T", (), datum, build, expected)
 
 
 def _sl2_mod_N():
@@ -147,23 +158,23 @@ def _sl2_mod_N():
     two_alpha = Weight((4,))
     colors = (ColorRecord("D1", (0,), "2a", Weight((2,))),)
     datum = SphericalDatum(rs, frozenset(), colors, (two_alpha,), (two_alpha,))
-    pres = _sl2_presentation(rs, [[[0, 1], [1, 0]]],
-                             witnesses=(("D1", 0, [[0, 1], [-1, 0]]),))
+    build = partial(_sl2_presentation, rs, [[[0, 1], [1, 0]]],
+                    witnesses=(("D1", 0, [[0, 1], [-1, 0]]),))
     expected = Expected(("2a",), (1,), (2,),
                         (("types", "stated"), ("m", "stated"),
                          ("kappa", "trivial"), ("chi", "derived")))
-    return CatalogEntry("sl2_mod_N", (), datum, pres, expected)
+    return CatalogEntry("sl2_mod_N", (), datum, build, expected)
 
 
 def _sl2_mod_U():
     rs = build_root_system("A1")
     colors = (ColorRecord("D1", (0,), "b", Weight((1,))),)
     datum = SphericalDatum(rs, frozenset(), colors, (Weight((1,)),), ())
-    pres = _sl2_presentation(rs, [_E])
+    build = partial(_sl2_presentation, rs, [_E])
     expected = Expected(("b",), (2,), (2,),
                         (("types", "stated"), ("m", "stated"),
                          ("kappa", "trivial"), ("chi", "derived")))
-    return CatalogEntry("sl2_mod_U", (), datum, pres, expected)
+    return CatalogEntry("sl2_mod_U", (), datum, build, expected)
 
 
 def _brion_5_1(n):
@@ -176,7 +187,15 @@ def _brion_5_1(n):
         fund[r + i] = 1
         colors.append(ColorRecord(f"D{i + 1}", (i, r + i), "b", Weight(tuple(fund))))
     datum = SphericalDatum(rs, frozenset(), tuple(colors))
+    expected = Expected(("b",) * r, (2,) * r, (2,) * (2 * r),
+                        (("types", "stated"), ("m", "stated"),
+                         ("kappa", "trivial"), ("chi", "derived")))
+    return CatalogEntry("brion_5_1", (("n", n),), datum,
+                        partial(_brion_5_1_presentation, rs, n), expected)
 
+
+def _brion_5_1_presentation(rs, n):
+    r = n - 1
     blocks = (n, n)
     zero = [[0] * n for _ in range(n)]
     h_basis = [element(blocks, [m, m]) for m in _sl_mats(n)]
@@ -191,12 +210,7 @@ def _brion_5_1(n):
         triples.append((element(blocks, [zero, _eij(n, i, i + 1)]),
                         element(blocks, [zero, _diag_h(n, i)]),
                         element(blocks, [zero, _eij(n, i + 1, i)])))
-    pres = make_presentation(rs, blocks, h_basis, b_basis, triples)
-
-    expected = Expected(("b",) * r, (2,) * r, (2,) * (2 * r),
-                        (("types", "stated"), ("m", "stated"),
-                         ("kappa", "trivial"), ("chi", "derived")))
-    return CatalogEntry("brion_5_1", (("n", n),), datum, pres, expected)
+    return make_presentation(rs, blocks, h_basis, b_basis, triples)
 
 
 _CONJUGATORS_5_2 = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]])
@@ -211,39 +225,28 @@ def _brion_5_2():
     )
     sigma = (Weight((2, 0, 0)), Weight((0, 2, 0)), Weight((0, 0, 2)))
     datum = SphericalDatum(rs, frozenset(), colors, sigma, sigma)
+    expected = Expected(("a", "a", "a"), (1, 1, 1), (2, 2, 2),
+                        (("types", "stated"), ("m", "stated"),
+                         ("kappa", "trivial"), ("chi", "stated")))
+    return CatalogEntry("brion_5_2", (), datum,
+                        partial(_brion_5_2_presentation, rs), expected)
 
-    from fractions import Fraction
+
+def _brion_5_2_presentation(rs):
     blocks = (2, 2, 2)
     zero = [[0, 0], [0, 0]]
-
-    def inv2(m):
-        a, b = m[0]
-        c, d = m[1]
-        det = Fraction(a) * d - Fraction(b) * c
-        return [[Fraction(d) / det, Fraction(-b) / det],
-                [Fraction(-c) / det, Fraction(a) / det]]
-
-    def mm(a, b):
-        return [[sum(Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(2))
-                 for j in range(2)] for i in range(2)]
 
     def emb(i, m):
         mats = [zero, zero, zero]
         mats[i] = m
         return element(blocks, mats)
 
-    h_basis = []
-    for u in (_E, _H, _F):
-        h_basis.append(element(
-            blocks, [mm(mm(c, u), inv2(c)) for c in _CONJUGATORS_5_2]))
+    conj = [_mat(c) for c in _CONJUGATORS_5_2]
+    h_basis = [element(blocks, [_mmul(_mmul(c, _mat(u)), _minv2(c)) for c in conj])
+               for u in (_E, _H, _F)]
     b_basis = [emb(i, _H_LO) for i in range(3)] + [emb(i, _E_LO) for i in range(3)]
     triples = [(emb(i, _E_LO), emb(i, _H_LO), emb(i, _F_LO)) for i in range(3)]
-    pres = make_presentation(rs, blocks, h_basis, b_basis, triples)
-
-    expected = Expected(("a", "a", "a"), (1, 1, 1), (2, 2, 2),
-                        (("types", "stated"), ("m", "stated"),
-                         ("kappa", "trivial"), ("chi", "stated")))
-    return CatalogEntry("brion_5_2", (), datum, pres, expected)
+    return make_presentation(rs, blocks, h_basis, b_basis, triples)
 
 
 def _brion_5_3(n):

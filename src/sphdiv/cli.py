@@ -47,15 +47,19 @@ class _UsageError(Exception):
 
 # --------------------------------------------------------- input helpers
 
-def _load_source(source: str, n=None):
-    """Resolve a datum argument into (datum, presentation-or-None)."""
+def _load_source(source: str, n=None, presentation=False):
+    """Resolve a datum argument into (datum, presentation-or-None).
+
+    A catalog entry's presentation is built only when asked for; a
+    document's is always parsed and checked, so that a malformed one is
+    reported whatever the command."""
     if source.startswith("catalog:"):
         key = source[len("catalog:"):]
         try:
             entry = builtin(key, n)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        return entry.datum, entry.presentation
+        return entry.datum, (entry.presentation if presentation else None)
     if n is not None:
         raise _UsageError("--n only applies to catalog: sources")
     try:
@@ -176,7 +180,7 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_types(args) -> int:
-    datum, pres = _load_source(args.datum, args.n)
+    datum, pres = _load_source(args.datum, args.n, presentation=args.method != "luna")
     luna = knop = None
     if args.method in ("luna", "both"):
         luna = {c.name: classify_luna(datum, c).value for c in datum.colors}

@@ -52,9 +52,20 @@ def _mscale(c, a: Matrix) -> Matrix:
 
 
 def _mmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
+    """Row-sparse product: each nonzero a[i][k] meets only the nonzero
+    entries of row k of b.  Presentation blocks are mostly E_ij and
+    diagonal matrices, so almost every term of the dense sum is zero."""
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    zero = Fraction(0)
+    out = []
+    for row in a:
+        acc = [zero] * len(row)
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _mbracket(a: Matrix, b: Matrix) -> Matrix:
@@ -495,10 +506,16 @@ def presentation_from_json(obj, rs: RootSystem) -> LiePresentation:
                 raise SchemaError(str(exc)) from None
         return element(blocks, mats)
 
+    def array(name):
+        raw = obj.get(name, [])
+        if not isinstance(raw, list):
+            raise SchemaError(f"presentation.{name}: expected an array")
+        return raw
+
     h_basis = [elem(x, f"presentation.h_basis[{i}]")
-               for i, x in enumerate(obj.get("h_basis", []))]
+               for i, x in enumerate(array("h_basis"))]
     b_basis = [elem(x, f"presentation.b_basis[{i}]")
-               for i, x in enumerate(obj.get("b_basis", []))]
+               for i, x in enumerate(array("b_basis"))]
     traw = obj.get("triples", {})
     if not isinstance(traw, dict):
         raise SchemaError("presentation.triples: expected an object")
@@ -513,7 +530,7 @@ def presentation_from_json(obj, rs: RootSystem) -> LiePresentation:
         triples.append(tuple(elem(t[tag], f"presentation.triples.{name}.{tag}")
                              for tag in ("e", "h", "f")))
     witnesses = []
-    for wi, wraw in enumerate(obj.get("witnesses", [])):
+    for wi, wraw in enumerate(array("witnesses")):
         where = f"presentation.witnesses[{wi}]"
         if not isinstance(wraw, dict):
             raise SchemaError(f"{where}: expected an object")

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import sphdiv.catalog
 from sphdiv.cli import main
 from sphdiv.docio import dump_document
 from sphdiv.catalog import builtin
@@ -111,6 +112,62 @@ def test_schema_error_exit(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(p))
     assert code == 2
     assert "schema error" in err
+
+
+@pytest.mark.parametrize("field", ["h_basis", "b_basis", "witnesses"])
+def test_presentation_field_not_an_array(tmp_path, capsys, field):
+    entry = builtin("sl2_mod_N", None)
+    doc = json.loads(dump_document(entry.datum, entry.presentation))
+    doc["presentation"][field] = 5
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "kappa", str(p))
+    assert code == 2
+    assert f"schema error: presentation.{field}: expected an array" in err
+
+
+# ---------------------------------------------------------------- laziness
+
+@pytest.fixture
+def presentation_builds(monkeypatch):
+    """Arguments of every make_presentation call the catalog makes."""
+    calls = []
+    real = sphdiv.catalog.make_presentation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sphdiv.catalog, "make_presentation", counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["kappa"], 0), (["antican"], 0), (["verify"], 0), (["cone"], 1),
+    (["validate"], 0), (["types", "--method", "luna"], 1),
+])
+def test_datum_commands_build_no_presentation(capsys, presentation_builds, argv, want):
+    code, _, _ = run(capsys, argv[0], "catalog:brion_5_1", "--n", "10", *argv[1:])
+    assert code == want
+    assert presentation_builds == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["types", "catalog:brion_5_1", "--n", "3", "--method", "both"],
+    ["types", "catalog:brion_5_2", "--method", "knop"],
+    ["catalog", "dump", "brion_5_1", "--n", "3"],
+])
+def test_presentation_readers_build_it_once(capsys, presentation_builds, argv):
+    run(capsys, *argv)
+    assert len(presentation_builds) == 1
+
+
+def test_entry_presentation_is_built_once_and_kept(presentation_builds):
+    entry = builtin("brion_5_1", 3)
+    assert presentation_builds == []
+    assert entry.presentation is entry.presentation
+    assert len(presentation_builds) == 1
+    assert builtin("brion_5_4", 3).presentation is None
 
 
 # ---------------------------------------------------------------- types

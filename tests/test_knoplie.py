@@ -73,6 +73,59 @@ def test_bracket_sl2_relations():
     assert is_zero_element(bracket(e, e))
 
 
+def _dense_mmul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def _dense_bracket(x, y):
+    """The dense bracket that the row-sparse product replaced: the oracle."""
+    out = []
+    for a, b in zip(x, y):
+        ab, ba = _dense_mmul(a, b), _dense_mmul(b, a)
+        out.append(tuple(tuple(p + Fraction(-1) * q for p, q in zip(ra, rb))
+                         for ra, rb in zip(ab, ba)))
+    return tuple(out)
+
+
+_ENTRY = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+
+
+@st.composite
+def _block(draw, n):
+    """An E_ij multiple, a diagonal, a sparse or a dense n x n block."""
+    kind = draw(st.sampled_from(["eij", "diag", "sparse", "dense"]))
+    if kind == "eij":
+        m = [[0] * n for _ in range(n)]
+        m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from([1, -1, 2, Fraction(-1, 2)]))
+        return m
+    if kind == "diag":
+        d = draw(st.lists(_ENTRY, min_size=n, max_size=n))
+        return [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    entry = _ENTRY if kind == "dense" else st.one_of(st.just(0), _ENTRY)
+    flat = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+@st.composite
+def _element_pair(draw):
+    blocks = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))) + (1,)
+    blocks = draw(st.permutations(blocks))
+    return tuple(element(blocks, [draw(_block(n)) for n in blocks]) for _ in range(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_element_pair())
+def test_sparse_bracket_matches_dense_oracle(pair):
+    x, y = pair
+    got, want = bracket(x, y), _dense_bracket(x, y)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert all(type(v) is Fraction for v in vectorize(got))
+
+
 def test_vectorize_round_trip():
     blocks = (2, 1, 2)
     x = element(blocks, [E, [[5]], H])
