@@ -8,18 +8,19 @@ order calculus.  All arithmetic is exact over Fraction.
 """
 
 from .rootsys import (Coweight, Root, RootSystem, RootSystemSpec, Weight,
-                      build_root_system, pair, parse_spec, positive_roots,
-                      rho, two_rho)
+                      build_root_system, kappa, pair, parse_spec,
+                      positive_roots, rho, two_rho)
 from .datum import (ColorRecord, SphericalDatum, compute_Sp, parse_datum,
                     serialize_datum, validate_datum)
 from .lunatypes import (ColorType, audit_pairings, classify_luna,
                         expected_chi_pairing, resolved_types)
 from .anticanon import (AnticanonicalDivisor, ValuationCone,
                         anticanonical_divisor, color_coefficient,
-                        cone_contains, cone_generator_directions,
-                        cone_interior_witness, enumerate_positive_solutions,
-                        generator_order_shift, kappa, uniqueness_certificate,
-                        valuation_cone, verify_decomposition)
+                        color_coefficients, cone_contains,
+                        cone_generator_directions, cone_interior_witness,
+                        enumerate_positive_solutions, generator_order_shift,
+                        uniqueness_certificate, valuation_cone, verify,
+                        verify_decomposition)
 from .knoplie import (ImageClass, LiePresentation, Sl2Image, classify_image,
                       classify_knop, dphi_project, image_for_root,
                       make_presentation, open_orbit_check, resolve_torus_like,
@@ -28,6 +29,6 @@ from .catalog import CatalogEntry, Expected, builtin, catalog_keys
 from .docio import dump_document, load_document
 from .errors import (DatumError, InconsistencyError, InsufficientDataError,
                      SchemaError, UnresolvedTypeError)
-from .report import Finding
+from .report import Finding, Report
 
 __version__ = "0.1.0"

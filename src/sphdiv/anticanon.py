@@ -1,11 +1,13 @@
-"""Anticanonical weight, divisor coefficients, and the valuation cone.
+"""Anticanonical divisor coefficients, the valuation cone, and verify.
 
 The distinguished anticanonical section has B-weight
-kappa = 2 rho_S - 2 rho_{Sp}; its divisor is sum(m_i D_i) over the
-colors plus every G-stable boundary divisor with coefficient 1, where
-m_i is 1 for colors of type a/2a and <alpha^vee, kappa> for type b.
-An exhaustive bounded search doubles as an independent uniqueness
-oracle for the decomposition kappa = sum(m_i chi_i).
+kappa = 2 rho_S - 2 rho_{Sp} (rootsys.kappa, re-exported here); its
+divisor is sum(m_i D_i) over the colors plus every G-stable boundary
+divisor with coefficient 1, where m_i is 1 for colors of type a/2a and
+<alpha^vee, kappa> for type b.  An exhaustive bounded search doubles as
+an independent uniqueness oracle for the decomposition
+kappa = sum(m_i chi_i).  verify runs every check on a datum and returns
+a Report that the command line only prints.
 """
 from __future__ import annotations
 
@@ -13,43 +15,51 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .datum import SphericalDatum
-from .errors import InconsistencyError, InsufficientDataError
+from .datum import SphericalDatum, validate_datum
+from .errors import DatumError, InconsistencyError, InsufficientDataError
 from .lunatypes import ColorType, resolved_types
-from .rootsys import Coweight, RootSystem, Weight, pair, two_rho
+from .report import Finding, Report, sort_findings, vector_text
+from .rootsys import Coweight, Weight, kappa, pair
 
 ENUM_MAX_COLORS = 8
 ENUM_MAX_BOUND = 12
 
 
-def kappa(rs: RootSystem, Sp=()) -> Weight:
-    """2 rho_S - 2 rho_{Sp} in fundamental coordinates: coordinate i is
-    2 - <alpha_i^vee, 2 rho_{Sp}>, so it vanishes exactly on Sp."""
-    t = two_rho(rs, sorted(Sp))
-    fund = tuple(2 - x for x in t.fund)
-    return Weight(fund, (0,) * rs.central_rank)
+def color_coefficients(datum: SphericalDatum, colors=None, kinds=None,
+                       kap: Weight | None = None) -> tuple[int, ...]:
+    """The divisor coefficients of `colors` (default: every color, in
+    order): 1 for types a/2a, and the common value <alpha^vee, kappa>
+    over the moving roots for type b.  The types and kappa (only when a
+    type-b color needs it) are computed once, or passed down as `kinds`
+    and `kap` by a caller that holds them."""
+    if kinds is None:
+        kinds = resolved_types(datum)
+    out = []
+    for color in datum.colors if colors is None else colors:
+        if kinds[color.name] is not ColorType.B:
+            out.append(1)
+            continue
+        if kap is None:
+            kap = kappa(datum.rs, datum.Sp)
+        values = {alpha: pair(alpha, kap) for alpha in color.moved_by}
+        distinct = set(values.values())
+        if len(distinct) != 1:
+            detail = ", ".join(f"{datum.rs.root_name(a)}->{v}" for a, v in values.items())
+            raise InconsistencyError(
+                f"color {color.name}: type-b coefficient differs across moving roots ({detail})")
+        value = distinct.pop()
+        if value.denominator != 1 or value < 1:
+            raise InconsistencyError(
+                f"color {color.name}: coefficient {value} is not a positive integer")
+        out.append(int(value))
+    return tuple(out)
 
 
 def color_coefficient(datum: SphericalDatum, color) -> int:
-    """The divisor coefficient of one color: 1 for types a/2a, and the
-    common value <alpha^vee, kappa> over its moving roots for type b."""
+    """The divisor coefficient of one color, given by name or record."""
     if isinstance(color, str):
         color = datum.color(color)
-    kind = resolved_types(datum)[color.name]
-    if kind is not ColorType.B:
-        return 1
-    kap = kappa(datum.rs, datum.Sp)
-    values = {alpha: pair(alpha, kap) for alpha in color.moved_by}
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        detail = ", ".join(f"{datum.rs.root_name(a)}->{v}" for a, v in values.items())
-        raise InconsistencyError(
-            f"color {color.name}: type-b coefficient differs across moving roots ({detail})")
-    value = distinct.pop()
-    if value.denominator != 1 or value < 1:
-        raise InconsistencyError(
-            f"color {color.name}: coefficient {value} is not a positive integer")
-    return int(value)
+    return color_coefficients(datum, [color])[0]
 
 
 @dataclass(frozen=True)
@@ -67,8 +77,18 @@ class AnticanonicalDivisor:
 
 
 def anticanonical_divisor(datum: SphericalDatum) -> AnticanonicalDivisor:
-    coeffs = tuple((c.name, color_coefficient(datum, c)) for c in datum.colors)
-    return AnticanonicalDivisor(coeffs, datum.boundary_count)
+    coeffs = color_coefficients(datum)
+    return AnticanonicalDivisor(
+        tuple((c.name, m) for c, m in zip(datum.colors, coeffs)), datum.boundary_count)
+
+
+def _chi_sum(datum: SphericalDatum, coeffs) -> tuple[Fraction, ...]:
+    """sum(m_i chi_i) on the fundamental coordinates."""
+    total = [Fraction(0)] * datum.rs.rank
+    for c, m in zip(datum.colors, coeffs):
+        for k, x in enumerate(c.chi.fund):
+            total[k] += m * x
+    return tuple(total)
 
 
 def verify_decomposition(datum: SphericalDatum) -> bool:
@@ -77,12 +97,8 @@ def verify_decomposition(datum: SphericalDatum) -> bool:
     missing = [c.name for c in datum.colors if c.chi is None]
     if missing:
         raise InsufficientDataError(f"colors without chi: {', '.join(missing)}")
-    total = [Fraction(0)] * datum.rs.rank
-    for c in datum.colors:
-        m = color_coefficient(datum, c)
-        for k, x in enumerate(c.chi.fund):
-            total[k] += m * x
-    return tuple(total) == kappa(datum.rs, datum.Sp).fund
+    kap = kappa(datum.rs, datum.Sp)
+    return _chi_sum(datum, color_coefficients(datum, kap=kap)) == kap.fund
 
 
 def enumerate_positive_solutions(kap: Weight, chis, bound: int) -> list[tuple[int, ...]]:
@@ -230,10 +246,11 @@ def cone_generator_directions(datum: SphericalDatum) -> list[Coweight]:
     return [_lift_functional(mvecs, d, dim) for d in dirs]
 
 
-def cone_interior_witness(datum: SphericalDatum) -> Coweight:
+def cone_interior_witness(datum: SphericalDatum, cone_data=None) -> Coweight:
     """A point with <v, sigma> = -1 for every spherical root (strictly
-    interior when there are any; the origin otherwise)."""
-    mvecs, rows = _require_cone_data(datum)
+    interior when there are any; the origin otherwise).  `cone_data`
+    passes down what _require_cone_data already returned."""
+    mvecs, rows = cone_data or _require_cone_data(datum)
     dim = datum.rs.rank + datum.rs.central_rank
     m = len(mvecs)
     if not rows:
@@ -253,9 +270,8 @@ def uniqueness_certificate(datum: SphericalDatum) -> bool:
     mvecs, rows = _require_cone_data(datum)
     if rows and linalg.rank(rows) != len(rows):
         raise InconsistencyError("spherical roots dependent: no certificate")
-    witness = cone_interior_witness(datum)
-    cone = valuation_cone(datum)
-    if not cone_contains(cone, witness):
+    witness = cone_interior_witness(datum, (mvecs, rows))
+    if not cone_contains(valuation_cone(datum), witness):
         raise InconsistencyError("interior witness fell outside the cone")
     return True
 
@@ -268,3 +284,58 @@ def generator_order_shift(datum: SphericalDatum, mu: Weight, nu: Coweight) -> Fr
         if not linalg.in_span(mvecs, mu.coords()):
             raise InsufficientDataError("mu is not in the span of M")
     return Fraction(1) + pair(nu, mu)
+
+
+# ------------------------------------------------------------- verify
+
+def verify(datum: SphericalDatum, bound: int) -> Report:
+    """Every consistency check on a datum: the findings of validate_datum,
+    the decomposition kappa = sum(m_i chi_i), the enumeration check that
+    no other coefficient vector in [1, bound] solves it, and the cone's
+    uniqueness certificate.  A check that lacks its data is skipped, with
+    the reason; an inconsistency is a failed finding.  The color types
+    and kappa are computed once and passed down."""
+    findings, skipped = [], []
+    missing_chi = [c.name for c in datum.colors if c.chi is None]
+    kinds, coeffs, error = {}, None, None
+    try:
+        kinds = resolved_types(datum)
+        if not missing_chi:
+            kap = kappa(datum.rs, datum.Sp)
+            coeffs = color_coefficients(datum, kinds=kinds, kap=kap)
+    except (InsufficientDataError, InconsistencyError) as exc:
+        error = exc
+    findings += validate_datum(datum, kinds)
+
+    if missing_chi:
+        skipped += [f"decomposition (colors without chi: {', '.join(missing_chi)})",
+                    "enumeration (colors without chi)"]
+    elif isinstance(error, InsufficientDataError):
+        skipped += [f"decomposition ({error})", "enumeration (coefficients unknown)"]
+    elif error is not None:
+        findings.append(Finding("decomposition", "kappa",
+                                "resolvable coefficients", str(error), False))
+        skipped.append("enumeration (coefficients unknown)")
+    else:
+        total = _chi_sum(datum, coeffs)
+        findings.append(Finding("decomposition", "kappa", vector_text(kap.fund),
+                                vector_text(total), total == kap.fund))
+        if len(datum.colors) > ENUM_MAX_COLORS or bound > ENUM_MAX_BOUND:
+            skipped.append(f"enumeration (cap: {ENUM_MAX_COLORS} colors, "
+                           f"bound {ENUM_MAX_BOUND})")
+        else:
+            sols = enumerate_positive_solutions(kap, [c.chi for c in datum.colors], bound)
+            findings.append(Finding("enumeration", f"bound {bound}",
+                                    str([coeffs]), str(sols), sols == [coeffs]))
+
+    try:
+        uniqueness_certificate(datum)
+        findings.append(Finding("cone-uniqueness", "valuation cone",
+                                "full-dimensional", "full-dimensional", True))
+    except InsufficientDataError as exc:
+        skipped.append(f"cone-uniqueness ({exc})")
+    except DatumError as exc:
+        findings.append(Finding("cone-uniqueness", "valuation cone",
+                                "full-dimensional", str(exc), False))
+
+    return Report(tuple(sort_findings(findings)), tuple(skipped))

@@ -14,31 +14,21 @@ import sys
 from fractions import Fraction
 
 from .anticanon import (
-    ENUM_MAX_BOUND,
-    ENUM_MAX_COLORS,
     anticanonical_divisor,
     cone_contains,
     cone_generator_directions,
     cone_interior_witness,
-    color_coefficient,
-    enumerate_positive_solutions,
-    kappa,
-    uniqueness_certificate,
     valuation_cone,
+    verify,
 )
 from .catalog import _PARAMETRIC, builtin, catalog_keys
 from .datum import rational_to_json, validate_datum, weight_to_json
 from .docio import dump_document, load_document
-from .errors import (
-    DatumError,
-    InconsistencyError,
-    InsufficientDataError,
-    SchemaError,
-)
+from .errors import DatumError, InsufficientDataError, SchemaError
 from .knoplie import classify_knop
 from .lunatypes import classify_luna
-from .report import Finding, all_passed, sort_findings
-from .rootsys import Coweight, build_root_system, pair, parse_spec, positive_roots
+from .report import Report, vector_text
+from .rootsys import Coweight, build_root_system, kappa, pair, parse_spec, positive_roots
 
 
 class _UsageError(Exception):
@@ -47,19 +37,20 @@ class _UsageError(Exception):
 
 # --------------------------------------------------------- input helpers
 
-def _load_source(source: str, n=None, presentation=False):
-    """Resolve a datum argument into (datum, presentation-or-None).
+def _load_source(source: str, n=None):
+    """Resolve a datum argument into (datum, presentation), where
+    presentation() gives the presentation or None.
 
-    A catalog entry's presentation is built only when asked for; a
-    document's is always parsed and checked, so that a malformed one is
-    reported whatever the command."""
+    A catalog entry builds its presentation only when that is called; a
+    document's is always parsed and checked on load, so that a malformed
+    one is reported whatever the command."""
     if source.startswith("catalog:"):
         key = source[len("catalog:"):]
         try:
             entry = builtin(key, n)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        return entry.datum, (entry.presentation if presentation else None)
+        return entry.datum, lambda: entry.presentation
     if n is not None:
         raise _UsageError("--n only applies to catalog: sources")
     try:
@@ -67,7 +58,8 @@ def _load_source(source: str, n=None, presentation=False):
             text = fh.read()
     except OSError as exc:
         raise _UsageError(str(exc)) from None
-    return load_document(text)
+    datum, pres = load_document(text)
+    return datum, lambda: pres
 
 
 def _parse_coweight(text: str, dim: int) -> Coweight:
@@ -83,10 +75,6 @@ def _parse_coweight(text: str, dim: int) -> Coweight:
 
 # --------------------------------------------------------- output helpers
 
-def _vec(xs) -> str:
-    return "(" + ", ".join(str(x) for x in xs) + ")"
-
-
 def _vec_json(xs) -> list:
     return [rational_to_json(x) for x in xs]
 
@@ -98,25 +86,23 @@ def _emit(args, doc: dict, table) -> None:
         table()
 
 
-def _print_findings(findings, skipped=()) -> None:
-    width = max((len(f.check) for f in findings), default=0)
-    subj = max((len(f.subject) for f in findings), default=0)
-    for f in findings:
-        tag = "pass" if f.passed else "FAIL"
-        print(f"{tag}  {f.check:<{width}}  {f.subject:<{subj}}  "
-              f"expected {f.expected}  actual {f.actual}")
-    for reason in skipped:
-        print(f"skip  {reason}")
-    good = sum(1 for f in findings if f.passed)
-    print(f"{len(findings)} checks, {good} passed, {len(findings) - good} failed")
+def _emit_report(args, report: Report) -> int:
+    findings = report.findings
 
+    def table():
+        width = max((len(f.check) for f in findings), default=0)
+        subj = max((len(f.subject) for f in findings), default=0)
+        for f in findings:
+            tag = "pass" if f.passed else "FAIL"
+            print(f"{tag}  {f.check:<{width}}  {f.subject:<{subj}}  "
+                  f"expected {f.expected}  actual {f.actual}")
+        for reason in report.skipped:
+            print(f"skip  {reason}")
+        good = sum(1 for f in findings if f.passed)
+        print(f"{len(findings)} checks, {good} passed, {len(findings) - good} failed")
 
-def _findings_doc(findings, skipped=()) -> dict:
-    return {
-        "findings": [f.to_json() for f in findings],
-        "skipped": list(skipped),
-        "pass": all_passed(findings),
-    }
+    _emit(args, report.to_json(), table)
+    return 0 if report.passed else 1
 
 
 # --------------------------------------------------------- subcommands
@@ -153,7 +139,7 @@ def _cmd_roots(args) -> int:
     def table():
         print(f"{rs.spec}: {len(roots)} positive roots")
         for r in roots:
-            print(f"  {expr(r):<24} coeffs={_vec(r.simple_coeffs)} height={r.height}")
+            print(f"  {expr(r):<24} coeffs={vector_text(r.simple_coeffs)} height={r.height}")
 
     _emit(args, doc, table)
     return 0
@@ -169,7 +155,7 @@ def _cmd_kappa(args) -> int:
     }
 
     def table():
-        print(f"kappa = {_vec(kap.fund)} in fundamental-weight coordinates")
+        print(f"kappa = {vector_text(kap.fund)} in fundamental-weight coordinates")
         for i in range(datum.rs.rank):
             name = datum.rs.root_name(i)
             mark = "  [in Sp]" if i in datum.Sp else ""
@@ -180,11 +166,12 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_types(args) -> int:
-    datum, pres = _load_source(args.datum, args.n, presentation=args.method != "luna")
+    datum, presentation = _load_source(args.datum, args.n)
     luna = knop = None
     if args.method in ("luna", "both"):
         luna = {c.name: classify_luna(datum, c).value for c in datum.colors}
     if args.method in ("knop", "both"):
+        pres = presentation()
         if pres is None:
             raise InsufficientDataError("document carries no presentation")
         knop = {c.name: classify_knop(pres, datum, c).value for c in datum.colors}
@@ -237,57 +224,7 @@ def _cmd_antican(args) -> int:
 
 def _cmd_verify(args) -> int:
     datum, _ = _load_source(args.datum, args.n)
-    findings = list(validate_datum(datum))
-    skipped = []
-
-    missing_chi = [c.name for c in datum.colors if c.chi is None]
-    coeffs = None
-    if missing_chi:
-        skipped.append(f"decomposition (colors without chi: {', '.join(missing_chi)})")
-        skipped.append("enumeration (colors without chi)")
-    else:
-        try:
-            coeffs = [color_coefficient(datum, c) for c in datum.colors]
-        except InsufficientDataError as exc:
-            skipped.append(f"decomposition ({exc})")
-            skipped.append("enumeration (coefficients unknown)")
-        except InconsistencyError as exc:
-            findings.append(Finding("decomposition", "kappa",
-                                    "resolvable coefficients", str(exc), False))
-            skipped.append("enumeration (coefficients unknown)")
-    if coeffs is not None:
-        kap = kappa(datum.rs, datum.Sp)
-        total = [Fraction(0)] * datum.rs.rank
-        for c, m in zip(datum.colors, coeffs):
-            for k, x in enumerate(c.chi.fund):
-                total[k] += m * x
-        findings.append(Finding("decomposition", "kappa",
-                                _vec(kap.fund), _vec(total),
-                                tuple(total) == kap.fund))
-        if len(datum.colors) > ENUM_MAX_COLORS or args.bound > ENUM_MAX_BOUND:
-            skipped.append(f"enumeration (cap: {ENUM_MAX_COLORS} colors, "
-                           f"bound {ENUM_MAX_BOUND})")
-        else:
-            sols = enumerate_positive_solutions(
-                kap, [c.chi for c in datum.colors], args.bound)
-            want = [tuple(coeffs)]
-            findings.append(Finding("enumeration", f"bound {args.bound}",
-                                    str(want), str(sols), sols == want))
-
-    try:
-        uniqueness_certificate(datum)
-        findings.append(Finding("cone-uniqueness", "valuation cone",
-                                "full-dimensional", "full-dimensional", True))
-    except InsufficientDataError as exc:
-        skipped.append(f"cone-uniqueness ({exc})")
-    except DatumError as exc:
-        findings.append(Finding("cone-uniqueness", "valuation cone",
-                                "full-dimensional", str(exc), False))
-
-    findings = sort_findings(findings)
-    _emit(args, _findings_doc(findings, skipped),
-          lambda: _print_findings(findings, skipped))
-    return 0 if all_passed(findings) else 1
+    return _emit_report(args, verify(datum, args.bound))
 
 
 def _cmd_cone(args) -> int:
@@ -315,12 +252,12 @@ def _cmd_cone(args) -> int:
     def table():
         print("halfspaces <v, sigma> <= 0 for sigma in:")
         for s in cone.halfspaces:
-            print(f"  {_vec(s.fund)} [fund coords]")
+            print(f"  {vector_text(s.fund)} [fund coords]")
         if unavailable is None:
             print("generator directions:")
             for g in gens:
-                print(f"  {_vec(g.coords)}")
-            print(f"interior witness: {_vec(witness.coords)}")
+                print(f"  {vector_text(g.coords)}")
+            print(f"interior witness: {vector_text(witness.coords)}")
         else:
             print(f"generators/witness unavailable: {unavailable}")
         if contains is not None:
@@ -332,9 +269,7 @@ def _cmd_cone(args) -> int:
 
 def _cmd_validate(args) -> int:
     datum, _ = _load_source(args.datum, args.n)
-    findings = validate_datum(datum)
-    _emit(args, _findings_doc(findings), lambda: _print_findings(findings))
-    return 0 if all_passed(findings) else 1
+    return _emit_report(args, Report(tuple(validate_datum(datum))))
 
 
 def _cmd_catalog(args) -> int:
@@ -349,12 +284,8 @@ def _cmd_catalog(args) -> int:
                 note = "  (parametric, needs --n)" if k in _PARAMETRIC else ""
                 print(f"{k}{note}")
         return 0
-    # dump
-    try:
-        entry = builtin(args.key, args.n)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    print(dump_document(entry.datum, entry.presentation))
+    datum, presentation = _load_source(f"catalog:{args.key}", args.n)
+    print(dump_document(datum, presentation()))
     return 0
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import SchemaError
+from .errors import DatumError, SchemaError
+from .lunatypes import chi_pairing_findings, classify_luna, resolved_types
 from .report import Finding, sort_findings
 from .rootsys import Coweight, RootSystem,Weight, build_root_system
 
@@ -166,11 +167,15 @@ def parse_datum(text: str) -> SphericalDatum:
     "presentation" block is tolerated here and read separately (see
     docio.load_document).  Errors carry the offending field path.
     """
+    return datum_from_json(parse_json(text))
+
+
+def parse_json(text: str):
+    """The JSON value of a document's text; malformed JSON is a SchemaError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from None
-    return datum_from_json(doc)
 
 
 def datum_from_json(doc) -> SphericalDatum:
@@ -286,18 +291,17 @@ def serialize_datum(datum: SphericalDatum) -> str:
 
 # ------------------------------------------------------------- validation
 
-def validate_datum(datum: SphericalDatum) -> list[Finding]:
+def validate_datum(datum: SphericalDatum, kinds=None) -> list[Finding]:
     """Semantic consistency findings, deterministic and order-independent.
 
     Covers: Sp recomputation, |Delta(alpha)| <= 2, moved_by disjoint from
     Sp, independence and M-membership of the spherical roots, agreement
     of declared types with the spherical-root classification, and the
     chi pairing table when enough data is present.
-    """
-    # imported here: lunatypes needs ColorRecord from this module
-    from .lunatypes import audit_pairings, classify_luna, resolved_types
-    from .errors import DatumError
 
+    `kinds` passes down color types the caller has already resolved, or
+    {} when they do not resolve; when omitted they are resolved here.
+    """
     rs = datum.rs
     out = []
 
@@ -350,12 +354,13 @@ def validate_datum(datum: SphericalDatum) -> list[Finding]:
                 out.append(Finding("declared-vs-luna", c.name, c.declared_type,
                                    f"unclassifiable ({exc})", False))
 
-    try:
-        resolved_types(datum)
-        have_types = True
-    except DatumError:
-        have_types = False
-    if have_types and any(c.chi is not None for c in datum.colors):
-        out.extend(f for f in audit_pairings(datum) if f.check == "chi-pairing")
+    if any(c.chi is not None for c in datum.colors):
+        if kinds is None:
+            try:
+                kinds = resolved_types(datum)
+            except DatumError:
+                kinds = {}
+        if kinds:
+            out.extend(chi_pairing_findings(datum, kinds))
 
     return sort_findings(out)

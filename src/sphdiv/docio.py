@@ -3,20 +3,16 @@ from __future__ import annotations
 
 import json
 
-from .datum import SphericalDatum, datum_from_json, datum_to_json, parse_datum
-from .errors import SchemaError
+from .datum import SphericalDatum, datum_from_json, datum_to_json, parse_json
 from .knoplie import LiePresentation, presentation_from_json, presentation_to_json
 
 
 def load_document(text: str):
     """Parse a document into (datum, presentation-or-None)."""
-    datum = parse_datum(text)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:  # parse_datum already vetted this
-        raise SchemaError(str(exc)) from None
+    doc = parse_json(text)
+    datum = datum_from_json(doc)
     pres = None
-    if isinstance(doc, dict) and doc.get("presentation") is not None:
+    if doc.get("presentation") is not None:
         pres = presentation_from_json(doc["presentation"], datum.rs)
     return datum, pres
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .datum import ColorRecord, SphericalDatum
-from .errors import InconsistencyError, InsufficientDataError, UnresolvedTypeError
+from .datum import ColorRecord, SphericalDatum, rational_from_json, rational_to_json
+from .errors import InconsistencyError, InsufficientDataError, SchemaError, UnresolvedTypeError
 from .lunatypes import ColorType, classify_luna
 from .rootsys import RootSystem, pair, positive_roots
 
@@ -457,8 +457,6 @@ def _flat_to_rows(flat, n, where, conv):
 
 
 def presentation_to_json(pres: LiePresentation) -> dict:
-    from .datum import rational_to_json
-
     def elem(x: Element):
         return [[rational_to_json(v) for row in blk for v in row] for blk in x]
 
@@ -481,9 +479,6 @@ def presentation_to_json(pres: LiePresentation) -> dict:
 
 
 def presentation_from_json(obj, rs: RootSystem) -> LiePresentation:
-    from .datum import rational_from_json
-    from .errors import SchemaError
-
     if not isinstance(obj, dict):
         raise SchemaError("presentation: expected an object")
     unknown = set(obj) - {"blocks", "h_basis", "b_basis", "triples", "witnesses"}

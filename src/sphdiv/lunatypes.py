@@ -9,11 +9,14 @@ to 2 against the anticanonical weight.
 from __future__ import annotations
 
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .datum import SphericalDatum, ColorRecord
 from .errors import InconsistencyError, InsufficientDataError
 from .report import Finding, sort_findings
-from .rootsys import pair
+from .rootsys import kappa, pair
+
+if TYPE_CHECKING:  # datum imports this module to validate types
+    from .datum import ColorRecord, SphericalDatum
 
 
 class ColorType(str, Enum):
@@ -76,19 +79,12 @@ def expected_chi_pairing(kind: ColorType, member: bool) -> int:
     return 2 if kind is ColorType.TWO_A else 1
 
 
-def audit_pairings(datum: SphericalDatum) -> list[Finding]:
-    """Check the chi pairing table, the <alpha^vee, kappa> = 2 rule for
-    a/2a moving roots, and orthogonality of Sp against the lattice M.
-
-    Types must be resolvable (declared or from spherical roots).
-    """
-    from .anticanon import kappa  # local import: anticanon builds on this module
-
+def chi_pairing_findings(datum: SphericalDatum, kinds: dict[str, ColorType]) -> list[Finding]:
+    """One finding per color carrying chi and simple root outside Sp:
+    does <alpha^vee, chi> match the table value for the color's type?"""
     rs = datum.rs
-    kinds = resolved_types(datum)
-    out = []
-
     off_sp = [i for i in range(rs.rank) if i not in datum.Sp]
+    out = []
     for c in datum.colors:
         if c.chi is None:
             continue
@@ -97,6 +93,18 @@ def audit_pairings(datum: SphericalDatum) -> list[Finding]:
             got = pair(i, c.chi)
             out.append(Finding("chi-pairing", f"{c.name}:{rs.root_name(i)}",
                                str(want), str(got), got == want))
+    return out
+
+
+def audit_pairings(datum: SphericalDatum) -> list[Finding]:
+    """Check the chi pairing table, the <alpha^vee, kappa> = 2 rule for
+    a/2a moving roots, and orthogonality of Sp against the lattice M.
+
+    Types must be resolvable (declared or from spherical roots).
+    """
+    rs = datum.rs
+    kinds = resolved_types(datum)
+    out = chi_pairing_findings(datum, kinds)
 
     kap = kappa(rs, datum.Sp)
     for c in datum.colors:

@@ -22,6 +22,30 @@ class Finding:
         }
 
 
+@dataclass(frozen=True)
+class Report:
+    """The findings of a set of checks, in a deterministic order, plus
+    the checks skipped for lack of data, each with its reason."""
+    findings: tuple[Finding, ...]
+    skipped: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return all_passed(self.findings)
+
+    def to_json(self) -> dict:
+        return {
+            "findings": [f.to_json() for f in self.findings],
+            "skipped": list(self.skipped),
+            "pass": self.passed,
+        }
+
+
+def vector_text(xs) -> str:
+    """A vector as it appears in findings and tables: "(1, 0, 2)"."""
+    return "(" + ", ".join(str(x) for x in xs) + ")"
+
+
 def all_passed(findings: list[Finding]) -> bool:
     return all(f.passed for f in findings)
 

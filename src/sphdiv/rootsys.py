@@ -54,14 +54,15 @@ def parse_spec(text: str) -> RootSystemSpec:
     if m:
         if central:
             raise ValueError(f"two torus parts in {text!r}")
-        return RootSystemSpec((), int(m.group(1)))
-    factors = []
-    for part in s.split("x"):
-        fm = _FACTOR_RE.match(part.strip())
-        if not fm:
-            raise ValueError(f"bad factor {part!r} in {text!r}")
-        factors.append((fm.group(1), int(fm.group(2))))
-    spec = RootSystemSpec(tuple(factors), central)
+        spec = RootSystemSpec((), int(m.group(1)))
+    else:
+        factors = []
+        for part in s.split("x"):
+            fm = _FACTOR_RE.match(part.strip())
+            if not fm:
+                raise ValueError(f"bad factor {part!r} in {text!r}")
+            factors.append((fm.group(1), int(fm.group(2))))
+        spec = RootSystemSpec(tuple(factors), central)
     validate_spec(spec)
     return spec
 
@@ -85,6 +86,8 @@ def validate_spec(spec: RootSystemSpec) -> None:
         raise ValueError("negative central rank")
     if spec.semisimple_rank > MAX_TOTAL_RANK:
         raise ValueError(f"total rank {spec.semisimple_rank} exceeds cap {MAX_TOTAL_RANK}")
+    if spec.central_rank > MAX_TOTAL_RANK:
+        raise ValueError(f"central rank {spec.central_rank} exceeds cap {MAX_TOTAL_RANK}")
 
 
 def _cartan_block(fam: str, n: int):
@@ -333,6 +336,14 @@ def two_rho(rs: RootSystem, subset=None) -> Weight:
     for r in positive_roots(rs, subset):
         total = total + r.as_weight
     return total
+
+
+def kappa(rs: RootSystem, Sp=()) -> Weight:
+    """2 rho_S - 2 rho_{Sp} in fundamental coordinates: coordinate i is
+    2 - <alpha_i^vee, 2 rho_{Sp}>, so it vanishes exactly on Sp."""
+    t = two_rho(rs, sorted(Sp))
+    fund = tuple(2 - x for x in t.fund)
+    return Weight(fund, (0,) * rs.central_rank)
 
 
 def rho(rs: RootSystem, subset=None) -> Weight:

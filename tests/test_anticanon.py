@@ -12,7 +12,7 @@ from sphdiv.anticanon import (AnticanonicalDivisor, ENUM_MAX_BOUND, ENUM_MAX_COL
                               anticanonical_divisor, color_coefficient, cone_contains,
                               cone_generator_directions, cone_interior_witness,
                               enumerate_positive_solutions, generator_order_shift,
-                              kappa, uniqueness_certificate, valuation_cone)
+                              kappa, uniqueness_certificate, valuation_cone, verify)
 from sphdiv.catalog import builtin
 from sphdiv.datum import ColorRecord, SphericalDatum
 from sphdiv.errors import InconsistencyError, InsufficientDataError
@@ -291,6 +291,70 @@ def test_generators_need_m():
     stripped = dataclasses.replace(d, lattice_M=None)
     with pytest.raises(InsufficientDataError):
         cone_generator_directions(stripped)
+
+
+# ---------------------------------------------------------------- verify
+
+def _checks(report):
+    return {f.check: f for f in report.findings}
+
+
+def test_verify_passes_on_catalog():
+    report = verify(builtin("brion_5_2", None).datum, 10)
+    assert report.passed and report.skipped == ()
+    assert {"decomposition", "enumeration", "cone-uniqueness"} <= set(_checks(report))
+    assert report.to_json()["pass"] is True
+    assert list(report.findings) == sorted(report.findings, key=lambda f: (f.check, f.subject))
+
+
+def test_verify_skips_without_chi():
+    d = builtin("brion_5_2", None).datum
+    stripped = dataclasses.replace(d.colors[1], chi=None)
+    report = verify(dataclasses.replace(d, colors=(d.colors[0], stripped, d.colors[2])), 10)
+    assert report.skipped == ("decomposition (colors without chi: D13)",
+                              "enumeration (colors without chi)")
+    assert not {"decomposition", "enumeration"} & set(_checks(report))
+
+
+def test_verify_skips_when_coefficients_insufficient():
+    rs = build_root_system("A1")
+    d = SphericalDatum(rs, frozenset(), (ColorRecord("D", (0,), chi=Weight((1,), ())),))
+    report = verify(d, 10)
+    assert report.passed
+    assert report.skipped == (
+        "decomposition (color D: no declared type and no spherical roots)",
+        "enumeration (coefficients unknown)",
+        "cone-uniqueness (no spherical roots given)")
+
+
+def test_verify_fails_when_coefficients_inconsistent():
+    rs = build_root_system("A3")
+    d = SphericalDatum(rs, frozenset({2}), (
+        ColorRecord("D", (0, 1), declared_type="b", chi=Weight((1, 1, 0), ())),))
+    report = verify(d, 10)
+    found = _checks(report)["decomposition"]
+    assert not found.passed and "differs across" in found.actual
+    assert "enumeration (coefficients unknown)" in report.skipped
+
+
+def test_verify_enumeration_cap_and_bound():
+    d = builtin("sl2_mod_U", None).datum
+    report = verify(d, ENUM_MAX_BOUND + 1)
+    assert report.passed
+    assert report.skipped == (f"enumeration (cap: {ENUM_MAX_COLORS} colors, "
+                              f"bound {ENUM_MAX_BOUND})",)
+    assert "enumeration" not in _checks(report)
+    short = _checks(verify(d, 1))["enumeration"]
+    assert (short.expected, short.actual, short.passed) == ("[(2,)]", "[]", False)
+
+
+def test_verify_cone_missing_and_failing():
+    d = builtin("brion_5_2", None).datum
+    report = verify(dataclasses.replace(d, lattice_M=None), 10)
+    assert report.passed and report.skipped == ("cone-uniqueness (no lattice M given)",)
+    dependent = dataclasses.replace(d, lattice_M=d.lattice_M + d.lattice_M[:1])
+    found = _checks(verify(dependent, 10))["cone-uniqueness"]
+    assert not found.passed and found.actual == "lattice M basis is dependent"
 
 
 # ---------------------------------------------------------------- certificate

@@ -1,9 +1,12 @@
 """Command-line behavior: exit codes, table/JSON parity, datum sources."""
 import json
+import sys
 
 import pytest
 
 import sphdiv.catalog
+import sphdiv.lunatypes
+import sphdiv.rootsys
 from sphdiv.cli import main
 from sphdiv.docio import dump_document
 from sphdiv.catalog import builtin
@@ -63,6 +66,13 @@ def test_roots_bad_spec(capsys):
 
 def test_roots_bad_subset_name(capsys):
     assert run(capsys, "roots", "A2", "--subset", "a7")[0] == 2
+
+
+def test_roots_central_rank_cap(capsys):
+    assert run(capsys, "roots", "T64")[0] == 0
+    code, out, err = run(capsys, "roots", "T65")
+    assert (code, out) == (2, "")
+    assert "central rank 65 exceeds cap 64" in err
 
 
 # ---------------------------------------------------------------- sources
@@ -126,6 +136,16 @@ def test_presentation_field_not_an_array(tmp_path, capsys, field):
     assert f"schema error: presentation.{field}: expected an array" in err
 
 
+def test_huge_central_torus_is_a_schema_error(tmp_path, capsys):
+    p = tmp_path / "torus.json"
+    p.write_text('{"version":"sphdatum/1","root_system":"T20000","Sp":[],"colors":[],'
+                 '"M":[],"spherical_roots":[],"boundary_count":0}', encoding="utf-8")
+    assert p.stat().st_size == 114
+    code, out, err = run(capsys, "cone", str(p))
+    assert (code, out) == (2, "")
+    assert err == "schema error: root_system: central rank 20000 exceeds cap 64\n"
+
+
 # ---------------------------------------------------------------- laziness
 
 @pytest.fixture
@@ -145,6 +165,7 @@ def presentation_builds(monkeypatch):
 @pytest.mark.parametrize("argv,want", [
     (["kappa"], 0), (["antican"], 0), (["verify"], 0), (["cone"], 1),
     (["validate"], 0), (["types", "--method", "luna"], 1),
+    (["types", "--method", "both"], 1),
 ])
 def test_datum_commands_build_no_presentation(capsys, presentation_builds, argv, want):
     code, _, _ = run(capsys, argv[0], "catalog:brion_5_1", "--n", "10", *argv[1:])
@@ -153,13 +174,40 @@ def test_datum_commands_build_no_presentation(capsys, presentation_builds, argv,
 
 
 @pytest.mark.parametrize("argv", [
-    ["types", "catalog:brion_5_1", "--n", "3", "--method", "both"],
+    ["types", "catalog:brion_5_2", "--method", "both"],
     ["types", "catalog:brion_5_2", "--method", "knop"],
     ["catalog", "dump", "brion_5_1", "--n", "3"],
 ])
 def test_presentation_readers_build_it_once(capsys, presentation_builds, argv):
     run(capsys, *argv)
     assert len(presentation_builds) == 1
+
+
+@pytest.fixture
+def fact_calls(monkeypatch):
+    """Calls of kappa and resolved_types, counted wherever sphdiv binds them."""
+    calls = {"kappa": 0, "resolved_types": 0}
+    for name, real in (("kappa", sphdiv.rootsys.kappa),
+                       ("resolved_types", sphdiv.lunatypes.resolved_types)):
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("sphdiv") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["verify", "antican"])
+@pytest.mark.parametrize("source", [
+    ["catalog:brion_5_1", "--n", "6"], ["catalog:brion_5_2"], ["catalog:sl2_mod_U"],
+    ["catalog:brion_5_4", "--n", "5"],
+])
+def test_datum_facts_computed_once(capsys, fact_calls, command, source):
+    assert run(capsys, command, *source)[0] == 0
+    assert fact_calls["kappa"] <= 1
+    assert fact_calls["resolved_types"] == 1
 
 
 def test_entry_presentation_is_built_once_and_kept(presentation_builds):

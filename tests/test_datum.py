@@ -12,6 +12,7 @@ from sphdiv.datum import (ColorRecord, SphericalDatum, compute_Sp, datum_from_js
                           datum_to_json, delta_of, parse_datum, rational_from_json,
                           rational_to_json, serialize_datum, validate_datum,
                           weight_from_json, weight_to_json)
+from sphdiv.docio import load_document
 from sphdiv.errors import SchemaError
 from sphdiv.report import all_passed
 from sphdiv.rootsys import Weight, build_root_system
@@ -166,6 +167,22 @@ def test_schema_rejection(mutate):
 def test_parse_datum_rejects_non_json():
     with pytest.raises(SchemaError, match="not valid JSON"):
         parse_datum("{nope")
+
+
+def test_load_document_parses_once_and_names_the_line(monkeypatch):
+    text = json.dumps(base_doc())
+    real, texts = json.loads, []
+
+    def counting(s, *args, **kwargs):
+        texts.append(s)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    load_document(text)
+    assert texts == [text]
+    with pytest.raises(SchemaError) as err:
+        load_document('{"version":\n nope}')
+    assert str(err.value) == "not valid JSON: line 2: Expecting value"
 
 
 def test_schema_errors_carry_field_path():

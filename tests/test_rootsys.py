@@ -119,10 +119,17 @@ def test_spec_parse_and_format():
 
 
 @pytest.mark.parametrize("bad", ["E9", "E5", "F3", "G1", "A0", "H3", "", "A2x", "A2+T",
-                                 "A2xG3"])
+                                 "A2xG3", "T65", "A2+T65"])
 def test_spec_rejects_illegal(bad):
     with pytest.raises(ValueError):
         parse_spec(bad)
+
+
+def test_central_rank_capped_like_total_rank():
+    assert build_root_system("T64").central_rank == 64
+    assert build_root_system("A64+T64").rank == 64
+    with pytest.raises(ValueError, match="central rank 20000 exceeds cap 64"):
+        build_root_system(RootSystemSpec((), 20000))
 
 
 def test_spec_error_names_offending_factor():
