@@ -342,25 +342,27 @@ def validate_datum(datum: SphericalDatum, kinds=None) -> list[Finding]:
                                "ok" if not outside else f"outside at indices {outside}",
                                not outside))
 
+    declared = [c for c in datum.colors if c.declared_type is not None]
+    if kinds is None and (datum.spherical_roots is not None and declared
+                          or any(c.chi is not None for c in datum.colors)):
+        try:
+            kinds = resolved_types(datum)
+        except DatumError:
+            kinds = {}
+
     if datum.spherical_roots is not None:
-        for c in datum.colors:
-            if c.declared_type is None:
-                continue
+        # resolved kinds agree with every declared type; only when they
+        # did not resolve is each declared color classified on its own
+        for c in declared:
             try:
-                luna = classify_luna(datum, c).value
+                luna = (kinds[c.name] if kinds else classify_luna(datum, c)).value
                 out.append(Finding("declared-vs-luna", c.name, c.declared_type, luna,
                                    luna == c.declared_type))
             except DatumError as exc:
                 out.append(Finding("declared-vs-luna", c.name, c.declared_type,
                                    f"unclassifiable ({exc})", False))
 
-    if any(c.chi is not None for c in datum.colors):
-        if kinds is None:
-            try:
-                kinds = resolved_types(datum)
-            except DatumError:
-                kinds = {}
-        if kinds:
-            out.extend(chi_pairing_findings(datum, kinds))
+    if kinds:
+        out.extend(chi_pairing_findings(datum, kinds))
 
     return sort_findings(out)

@@ -12,6 +12,17 @@ classifying the span decides the color type:
     span dim 2, or dim 1 nilpotent -> contains a nilpotent -> type b
     span dim 1 semisimple          -> torus-like -> type a or 2a
 
+The projection of p_alpha onto its sl2 along the radical needs no basis
+of the radical.  The trace form tr(xy) of the matrix model is invariant,
+tr([x, y] z) = tr(x [y, z]), and the radical is orthogonal to e, h and
+f: an element z commuting with the sl2 has tr(zh) = tr(z[e, f]) =
+tr([z, e] f) = 0 and likewise for e and f, and a root vector of another
+positive root pairs to zero with them by weight.  So the coordinates are
+
+    c_e = tr(xf) / tr(ef),   c_h = tr(xh) / tr(hh),   c_f = tr(xe) / tr(ef),
+
+where tr(hh) = 2 tr(ef) is positive for a nonzero triple.
+
 Torus-like images are split by (in order) an explicit normalizer
 witness, the chi pairing, or the spherical roots; otherwise the type
 stays unresolved.  Whether an sl2 element is semisimple or nilpotent is
@@ -36,10 +47,6 @@ Element = tuple  # tuple of per-block Matrix
 
 def _mat(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _zero(n) -> Matrix:
-    return tuple((Fraction(0),) * n for _ in range(n))
 
 
 def _madd(a: Matrix, b: Matrix) -> Matrix:
@@ -83,14 +90,6 @@ def element(blocks, mats) -> Element:
             raise ValueError(f"block of size {n} got a {len(mm)}x? matrix")
         out.append(mm)
     return tuple(out)
-
-
-def zero_element(blocks) -> Element:
-    return tuple(_zero(n) for n in blocks)
-
-
-def eadd(x: Element, y: Element) -> Element:
-    return tuple(_madd(a, b) for a, b in zip(x, y))
 
 
 def escale(c, x: Element) -> Element:
@@ -263,54 +262,48 @@ def _positive_root_vectors(pres: LiePresentation):
 
 @lru_cache(maxsize=256)
 def _adapted_basis(pres: LiePresentation, alpha: int):
-    """Vectors spanning p_alpha, ordered [e_alpha, h_alpha, f_alpha,
-    kernel...], where the kernel block is ker(alpha) in the torus, the
-    central blocks, and every other positive root vector."""
-    rs = pres.rs
+    """Covectors reading the (e, h, f) coordinates of the alpha-sl2 off a
+    vectorized element of p_alpha: the flattened transposes of f, h and
+    e, scaled by 1/tr(ef), 1/tr(hh) and 1/tr(ef).  The positive root
+    vectors are built first, as the check that the triples are not
+    degenerate."""
+    _positive_root_vectors(pres)
     e, h, f = pres.triples[alpha]
-    kernel = []
-    # torus part killed by alpha: alpha_i(h_j) is the Cartan entry C[j][i]
-    col = [tuple(Fraction(rs.cartan[j][alpha]) for j in range(rs.rank))]
-    for combo in linalg.nullspace(col):
-        t = zero_element(pres.blocks)
-        for j, c in enumerate(combo):
-            if c:
-                t = eadd(t, escale(c, pres.triples[j][1]))
-        kernel.append(t)
-    for bi, n in enumerate(pres.blocks):
-        if n == 1:
-            mats = [[[1]] if k == bi else [[0] * m for _ in range(m)]
-                    for k, m in enumerate(pres.blocks)]
-            kernel.append(element(pres.blocks, mats))
-    rootvecs = _positive_root_vectors(pres)
-    unit = [0] * rs.rank
-    unit[alpha] = 1
-    unit = tuple(unit)
-    for coeffs, vec in sorted(rootvecs.items()):
-        if coeffs != unit:
-            kernel.append(vec)
-    cols = [vectorize(x) for x in (e, h, f)] + [vectorize(x) for x in kernel]
-    return cols
+    te, th, tf = (_transposed(x) for x in (e, h, f))
+    ef, hh = _dot(vectorize(e), tf), _dot(vectorize(h), th)
+    if hh == 0:  # a sum of squares of h's integer eigenvalues: h = e = f = 0
+        raise InconsistencyError(
+            f"presentation has a zero triple for {pres.rs.root_name(alpha)} "
+            "(triples degenerate)")
+    return tuple(tuple(v / t for v in cov) for cov, t in ((tf, ef), (th, hh), (te, ef)))
 
 
-_E2 = _mat([[0, 1], [0, 0]])
-_H2 = _mat([[1, 0], [0, -1]])
-_F2 = _mat([[0, 0], [1, 0]])
+def _transposed(x: Element) -> tuple:
+    """vectorize of the blockwise transpose, so that tr(x y) is
+    vectorize(x) . _transposed(y)."""
+    return tuple(blk[j][i] for blk in x for i in range(len(blk)) for j in range(len(blk)))
+
+
+def _dot(u, v) -> Fraction:
+    return sum(a * b for a, b in zip(u, v) if a)
+
+
+def _sl2_coords(covectors, vec) -> Matrix:
+    ce, ch, cf = (_dot(c, vec) for c in covectors)
+    return _mat([[ch, ce], [cf, -ch]])
 
 
 def dphi_project(pres: LiePresentation, alpha: int, x: Element) -> Matrix:
-    """Image of x in the alpha-sl2: write x = c_e e + c_h h + c_f f + r
-    with r in the kernel of the projection and return the corresponding
-    2x2 matrix c_e E + c_h H + c_f F.  x must lie in p_alpha."""
+    """Image of x in the alpha-sl2: the 2x2 matrix c_e E + c_h H + c_f F
+    with c_e = tr(xf)/tr(ef), c_h = tr(xh)/tr(hh), c_f = tr(xe)/tr(ef).
+    x must lie in p_alpha."""
     pres.rs._check_index(alpha)
-    cols = _adapted_basis(pres, alpha)
-    sol = linalg.solve_columns(cols, vectorize(x))
-    if sol is None:
+    covectors = _adapted_basis(pres, alpha)
+    vec = vectorize(x)
+    if not linalg.in_span([vectorize(y) for y in parabolic_basis(pres, alpha)], vec):
         raise ValueError(
             f"element is not in the minimal parabolic of {pres.rs.root_name(alpha)}")
-    ce, ch, cf = sol[0], sol[1], sol[2]
-    out = _madd(_madd(_mscale(ce, _E2), _mscale(ch, _H2)), _mscale(cf, _F2))
-    return out
+    return _sl2_coords(covectors, vec)
 
 
 class ImageClass(Enum):
@@ -360,7 +353,8 @@ def image_for_root(pres: LiePresentation, alpha: int) -> Sl2Image:
     if not stab:
         raise InconsistencyError(
             f"stabilizer meets the parabolic of {pres.rs.root_name(alpha)} trivially")
-    return classify_image([dphi_project(pres, alpha, x) for x in stab])
+    covectors = _adapted_basis(pres, alpha)
+    return classify_image([_sl2_coords(covectors, vectorize(x)) for x in stab])
 
 
 def _minv2(m: Matrix) -> Matrix:

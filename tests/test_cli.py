@@ -185,10 +185,12 @@ def test_presentation_readers_build_it_once(capsys, presentation_builds, argv):
 
 @pytest.fixture
 def fact_calls(monkeypatch):
-    """Calls of kappa and resolved_types, counted wherever sphdiv binds them."""
-    calls = {"kappa": 0, "resolved_types": 0}
+    """Calls of kappa, resolved_types and classify_luna, counted wherever
+    sphdiv binds them."""
+    calls = {"kappa": 0, "resolved_types": 0, "classify_luna": 0}
     for name, real in (("kappa", sphdiv.rootsys.kappa),
-                       ("resolved_types", sphdiv.lunatypes.resolved_types)):
+                       ("resolved_types", sphdiv.lunatypes.resolved_types),
+                       ("classify_luna", sphdiv.lunatypes.classify_luna)):
         def counting(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -208,6 +210,13 @@ def test_datum_facts_computed_once(capsys, fact_calls, command, source):
     assert run(capsys, command, *source)[0] == 0
     assert fact_calls["kappa"] <= 1
     assert fact_calls["resolved_types"] == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "validate"])
+def test_luna_classifies_each_color_once(capsys, fact_calls, command):
+    # brion_5_2 has three declared colors and spherical roots
+    assert run(capsys, command, "catalog:brion_5_2")[0] == 0
+    assert fact_calls["classify_luna"] == 3
 
 
 def test_entry_presentation_is_built_once_and_kept(presentation_builds):

@@ -238,6 +238,18 @@ def test_validate_flags_wrong_declared_type():
     assert "chi-pairing" not in by_check
 
 
+def test_validate_names_an_unclassifiable_declared_color():
+    # a1 is a spherical root and a2 is not: the moving roots of D disagree,
+    # so the types do not resolve and D is classified on its own
+    rs = build_root_system("A1xA1")
+    d = SphericalDatum(rs, frozenset(), (ColorRecord("D", (0, 1), "a"),), None,
+                       (rs.simple_root_weight(0),))
+    (found,) = [f for f in validate_datum(d) if f.check == "declared-vs-luna"]
+    assert not found.passed
+    assert found.actual == ("unclassifiable (color D: moving roots disagree on type "
+                            "(a1->a, a2->b))")
+
+
 def test_validate_flags_wrong_chi_pairing():
     # halve a 2a color's chi: the type still resolves, the table fails
     d = builtin("brion_5_3", 3).datum

@@ -1,21 +1,25 @@
 """Presentation-side classification: exact brackets, parabolic
 stabilizers, sl2 image classes, and the JSON codec for presentations."""
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphdiv.catalog import builtin
+from sphdiv.cli import main
 from sphdiv.datum import ColorRecord, SphericalDatum
+from sphdiv.docio import dump_document
 from sphdiv.errors import (InconsistencyError, InsufficientDataError, SchemaError,
                            UnresolvedTypeError)
 from sphdiv.knoplie import (ImageClass, algebra_dim, bracket, classify_image,
-                            classify_knop, dphi_project, eadd, element, escale,
+                            classify_knop, dphi_project, element, escale,
                             image_for_root, is_zero_element, make_presentation,
                             open_orbit_check, parabolic_basis, presentation_from_json,
                             presentation_to_json, resolve_torus_like,
                             stabilizer_in_parabolic, unvectorize, validate_presentation,
-                            vectorize, zero_element, _positive_root_vectors)
+                            vectorize, _positive_root_vectors)
+from sphdiv.linalg import nullspace, solve_columns
 from sphdiv.lunatypes import ColorType, classify_luna
 from sphdiv.rootsys import Weight, build_root_system, positive_roots
 
@@ -146,14 +150,6 @@ def test_algebra_dim():
     assert algebra_dim((1,)) == 1
     assert algebra_dim((2, 2, 2)) == 9
     assert algebra_dim((2, 1)) == 4
-
-
-def test_zero_element_and_eadd():
-    blocks = (2,)
-    z = zero_element(blocks)
-    x = element(blocks, [H])
-    assert eadd(x, z) == x
-    assert is_zero_element(eadd(x, escale(-1, x)))
 
 
 # ---------------------------------------------------------------- construction
@@ -317,6 +313,135 @@ def test_dphi_kills_central_blocks():
     y = element(blocks, [ZERO2, [[7]]])
     out = dphi_project(pres, 0, y)
     assert all(v == 0 for row in out for v in row)
+
+
+def _oracle_project(pres, alpha, x):
+    """The projection as a solve against an adapted basis of p_alpha:
+    e, h, f, ker(alpha) in the span of the h_j, the central 1-blocks and
+    every other positive root vector, which assumes b is spanned by the
+    last three.  The trace-form projection must agree wherever it holds."""
+    rs = pres.rs
+    hvecs = [vectorize(t[1]) for t in pres.triples]
+    col = [tuple(Fraction(rs.cartan[j][alpha]) for j in range(rs.rank))]
+    kernel = [tuple(sum(c * v for c, v in zip(combo, entries)) for entries in zip(*hvecs))
+              for combo in nullspace(col)]
+    dim, pos = len(hvecs[0]), 0
+    for n in pres.blocks:
+        if n == 1:
+            kernel.append(tuple(Fraction(int(i == pos)) for i in range(dim)))
+        pos += n * n
+    unit = tuple(int(i == alpha) for i in range(rs.rank))
+    kernel += [vectorize(v) for coeffs, v in sorted(_positive_root_vectors(pres).items())
+               if coeffs != unit]
+    sol = solve_columns([vectorize(t) for t in pres.triples[alpha]] + kernel, vectorize(x))
+    assert sol is not None, "outside the span of the adapted basis"
+    ce, ch, cf = sol[:3]
+    return ((ch, ce), (cf, -ch))
+
+
+def _sign_conjugate(pres, signs):
+    """The presentation conjugated blockwise by diag(signs), which maps
+    entry (i, j) of a block to signs[i] * signs[j] times itself."""
+    def conj(x):
+        out, pos = [], 0
+        for blk in x:
+            d = signs[pos:pos + len(blk)]
+            out.append(tuple(tuple(d[i] * d[j] * v for j, v in enumerate(row))
+                             for i, row in enumerate(blk)))
+            pos += len(blk)
+        return tuple(out)
+
+    return make_presentation(pres.rs, pres.blocks, [conj(x) for x in pres.h_basis],
+                             [conj(x) for x in pres.b_basis],
+                             [tuple(conj(x) for x in t) for t in pres.triples],
+                             pres.witnesses)
+
+
+_ORACLE_ENTRIES = [("sl2_mod_T", None), ("sl2_mod_N", None), ("sl2_mod_U", None),
+                   ("brion_5_2", None)] + [("brion_5_1", n) for n in range(2, 6)]
+
+
+@st.composite
+def _catalog_root(draw):
+    """A catalog presentation, conjugated by a drawn diagonal sign matrix
+    (all +1 leaves it as it is), and one of its simple roots."""
+    key, n = draw(st.sampled_from(_ORACLE_ENTRIES))
+    pres = builtin(key, n).presentation
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=sum(pres.blocks),
+                          max_size=sum(pres.blocks)))
+    return _sign_conjugate(pres, signs), draw(st.integers(0, pres.rs.rank - 1))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_catalog_root())
+def test_trace_form_projection_matches_adapted_basis_oracle(pres_alpha):
+    pres, alpha = pres_alpha
+    stab = stabilizer_in_parabolic(pres, alpha)
+    for x in parabolic_basis(pres, alpha) + stab:
+        assert dphi_project(pres, alpha, x) == _oracle_project(pres, alpha, x)
+    assert image_for_root(pres, alpha) == \
+        classify_image([_oracle_project(pres, alpha, x) for x in stab])
+
+
+def _known_fault_pres():
+    """A1 in one 3x3 block with diag(1, 1, -2) in both b and h: b is not
+    spanned by h_a1 and the root vectors, yet the presentation is valid
+    and its basepoint generic."""
+    rs = build_root_system("A1")
+    blocks = (3,)
+
+    def e3(i, j):
+        m = [[0] * 3 for _ in range(3)]
+        m[i][j] = 1
+        return element(blocks, [m])
+
+    t = element(blocks, [[[1, 0, 0], [0, 1, 0], [0, 0, -2]]])
+    e, h, f = e3(0, 1), element(blocks, [[[1, 0, 0], [0, -1, 0], [0, 0, 0]]]), e3(1, 0)
+    return make_presentation(rs, blocks, [t, f, e3(2, 0), e3(2, 1)],
+                             [h, t, e, e3(0, 2), e3(1, 2)], [(e, h, f)])
+
+
+def test_known_fault_presentation_is_type_b():
+    pres = _known_fault_pres()
+    validate_presentation(pres)
+    assert open_orbit_check(pres)
+    datum = SphericalDatum(pres.rs, frozenset(), (ColorRecord("D1", (0,)),))
+    assert classify_knop(pres, datum, "D1") is ColorType.B
+    # diag(1, 1, -2) commutes with the sl2, so it projects to zero
+    assert all(v == 0 for row in dphi_project(pres, 0, pres.b_basis[1]) for v in row)
+
+
+def test_known_fault_document_types_by_knop(tmp_path, capsys):
+    pres = _known_fault_pres()
+    datum = SphericalDatum(pres.rs, frozenset(), (ColorRecord("D1", (0,)),))
+    doc = tmp_path / "doc.json"
+    doc.write_text(dump_document(datum, pres), encoding="utf-8")
+    assert main(["types", str(doc), "--method", "knop", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["types"] == {"D1": "b"}
+
+
+def test_classify_knop_reports_degenerate_triples():
+    # identical A2 triples on one sl2; h = span{f} makes the basepoint
+    # generic, so the degenerate triples are what classify_knop meets
+    rs = build_root_system("A2")
+    blocks = (2,)
+    t = (element(blocks, [E_LO]), element(blocks, [H_LO]), element(blocks, [F_LO]))
+    pres = make_presentation(rs, blocks, [t[2]], [t[1], t[0]], [t, t])
+    assert open_orbit_check(pres)
+    datum = SphericalDatum(rs, frozenset(), (ColorRecord("D", (0,)),))
+    with pytest.raises(InconsistencyError, match="degenerate"):
+        classify_knop(pres, datum, "D")
+
+
+def test_zero_triple_is_degenerate():
+    rs = build_root_system("A1")
+    blocks = (2,)
+    zero = element(blocks, [ZERO2])
+    pres = make_presentation(rs, blocks, [element(blocks, [F_LO])],
+                             [element(blocks, [H_LO]), element(blocks, [E_LO])],
+                             [(zero, zero, zero)])
+    with pytest.raises(InconsistencyError, match="zero triple"):
+        dphi_project(pres, 0, zero)
 
 
 def test_positive_root_vectors_cover_all_roots():
