@@ -218,11 +218,12 @@ def _lift_functional(mvecs, x, dim) -> Coweight:
     return Coweight(tuple(sol))
 
 
-def cone_generator_directions(datum: SphericalDatum) -> list[Coweight]:
+def cone_generator_directions(datum: SphericalDatum, cone_data=None) -> list[Coweight]:
     """Spanning generator directions of the valuation cone as coweights:
     the negated dual basis of the spherical roots plus both signs of a
-    basis of the lineality space, all expressed against the M basis."""
-    mvecs, rows = _require_cone_data(datum)
+    basis of the lineality space, all expressed against the M basis.
+    `cone_data` passes down what _require_cone_data already returned."""
+    mvecs, rows = cone_data or _require_cone_data(datum)
     dim = datum.rs.rank + datum.rs.central_rank
     m = len(mvecs)
     s = len(rows)

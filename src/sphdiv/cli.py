@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .anticanon import (
+    _require_cone_data,
     anticanonical_divisor,
     cone_contains,
     cone_generator_directions,
@@ -235,8 +236,9 @@ def _cmd_cone(args) -> int:
     unavailable = None
     gens = witness = None
     try:
-        gens = cone_generator_directions(datum)
-        witness = cone_interior_witness(datum)
+        data = _require_cone_data(datum)
+        gens = cone_generator_directions(datum, data)
+        witness = cone_interior_witness(datum, data)
         doc["generators"] = [_vec_json(g.coords) for g in gens]
         doc["interior_witness"] = _vec_json(witness.coords)
     except InsufficientDataError as exc:

@@ -27,6 +27,12 @@ Torus-like images are split by (in order) an explicit normalizer
 witness, the chi pairing, or the spherical roots; otherwise the type
 stays unresolved.  Whether an sl2 element is semisimple or nilpotent is
 decided exactly by its determinant (x^2 = -det(x) * id for traceless x).
+
+An element of the algebra is one flat tuple of Fractions: the entries of
+each block row by row, the blocks in order.  That is the vector linalg
+reads, so the bases and triples of a presentation go into in_span, rank
+and intersect as they are, and tr(xy) is x . _transposed(blocks, y).
+2x2 Matrix row tuples remain for sl2 images and witnesses.
 """
 from __future__ import annotations
 
@@ -37,25 +43,16 @@ from functools import lru_cache
 
 from . import linalg
 from .datum import ColorRecord, SphericalDatum, rational_from_json, rational_to_json
-from .errors import InconsistencyError, InsufficientDataError, SchemaError, UnresolvedTypeError
+from .errors import InconsistencyError, SchemaError, UnresolvedTypeError
 from .lunatypes import ColorType, classify_luna
 from .rootsys import RootSystem, pair, positive_roots
 
 Matrix = tuple  # tuple of row tuples of Fraction
-Element = tuple  # tuple of per-block Matrix
+Element = tuple  # flat tuple of Fraction: block entries row by row, blocks in order
 
 
 def _mat(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _madd(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mscale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def _mmul(a: Matrix, b: Matrix) -> Matrix:
@@ -75,8 +72,18 @@ def _mmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _mbracket(a: Matrix, b: Matrix) -> Matrix:
-    return _madd(_mmul(a, b), _mscale(-1, _mmul(b, a)))
+def _offsets(blocks):
+    """(offset, size) of each block in the flat layout."""
+    pos = 0
+    for n in blocks:
+        yield pos, n
+        pos += n * n
+
+
+def _block_rows(blocks, x: Element):
+    """The rows of each block of x."""
+    for pos, n in _offsets(blocks):
+        yield [x[pos + i * n:pos + (i + 1) * n] for i in range(n)]
 
 
 def element(blocks, mats) -> Element:
@@ -85,39 +92,17 @@ def element(blocks, mats) -> Element:
         raise ValueError("wrong number of blocks")
     out = []
     for n, m in zip(blocks, mats):
-        mm = _mat(m)
-        if len(mm) != n or any(len(r) != n for r in mm):
-            raise ValueError(f"block of size {n} got a {len(mm)}x? matrix")
-        out.append(mm)
+        if len(m) != n or any(len(r) != n for r in m):
+            raise ValueError(f"block of size {n} got a {len(m)}x? matrix")
+        out += (Fraction(v) for row in m for v in row)
     return tuple(out)
 
 
-def escale(c, x: Element) -> Element:
-    return tuple(_mscale(c, a) for a in x)
-
-
-def bracket(x: Element, y: Element) -> Element:
-    return tuple(_mbracket(a, b) for a, b in zip(x, y))
-
-
-def vectorize(x: Element) -> tuple:
-    return tuple(v for blk in x for row in blk for v in row)
-
-
-def unvectorize(blocks, vec) -> Element:
+def bracket(blocks, x: Element, y: Element) -> Element:
     out = []
-    pos = 0
-    for n in blocks:
-        rows = []
-        for _ in range(n):
-            rows.append(tuple(Fraction(v) for v in vec[pos:pos + n]))
-            pos += n
-        out.append(tuple(rows))
+    for a, b in zip(_block_rows(blocks, x), _block_rows(blocks, y)):
+        out += (p - q for ra, rb in zip(_mmul(a, b), _mmul(b, a)) for p, q in zip(ra, rb))
     return tuple(out)
-
-
-def is_zero_element(x: Element) -> bool:
-    return all(v == 0 for v in vectorize(x))
 
 
 def algebra_dim(blocks) -> int:
@@ -142,21 +127,21 @@ class LiePresentation:
 
 
 def make_presentation(rs, blocks, h_basis, b_basis, triples, witnesses=()) -> LiePresentation:
-    """Construct and structurally check a presentation: block shapes,
+    """Construct and structurally check a presentation: element lengths,
     per-block tracelessness, and the sl2 bracket relations of every
-    triple.  The costlier span checks live in validate_presentation."""
+    triple, which must be nonzero.  The costlier span checks live in
+    validate_presentation."""
     blocks = tuple(int(n) for n in blocks)
     if len(triples) != rs.rank:
         raise ValueError(f"expected {rs.rank} triples, got {len(triples)}")
+    dim = sum(n * n for n in blocks)
 
     def check(x: Element, what: str) -> Element:
-        if len(x) != len(blocks):
-            raise ValueError(f"{what}: wrong block count")
-        for n, blk in zip(blocks, x):
-            if len(blk) != n or any(len(r) != n for r in blk):
-                raise ValueError(f"{what}: block shape mismatch")
+        if len(x) != dim:
+            raise ValueError(f"{what}: expected {dim} entries, got {len(x)}")
+        for pos, n in _offsets(blocks):
             if n >= 2:
-                tr = sum(blk[i][i] for i in range(n))
+                tr = sum(x[pos + i * (n + 1)] for i in range(n))
                 if tr != 0:
                     raise ValueError(f"{what}: block trace {tr} != 0")
         return x
@@ -168,12 +153,14 @@ def make_presentation(rs, blocks, h_basis, b_basis, triples, witnesses=()) -> Li
         name = rs.root_name(i)
         for x, tag in ((e, "e"), (h, "h"), (f, "f")):
             check(x, f"triple {name}.{tag}")
-        if bracket(e, f) != h:
+        if bracket(blocks, e, f) != h:
             raise ValueError(f"triple {name}: [e, f] != h")
-        if bracket(h, e) != escale(2, e):
+        if bracket(blocks, h, e) != tuple(2 * v for v in e):
             raise ValueError(f"triple {name}: [h, e] != 2e")
-        if bracket(h, f) != escale(-2, f):
+        if bracket(blocks, h, f) != tuple(-2 * v for v in f):
             raise ValueError(f"triple {name}: [h, f] != -2f")
+        if not any(h):  # the relations then force e = f = 0
+            raise ValueError(f"triple {name} is zero (degenerate)")
         fixed.append((e, h, f))
     wit = []
     for cn, a, w in witnesses:
@@ -190,19 +177,15 @@ def make_presentation(rs, blocks, h_basis, b_basis, triples, witnesses=()) -> Li
 def validate_presentation(pres: LiePresentation) -> None:
     """Full span checks: h closed under bracket, and every e_alpha and
     h_alpha inside span(b)."""
-    hvecs = [vectorize(x) for x in pres.h_basis]
     for i, x in enumerate(pres.h_basis):
-        for j, y in enumerate(pres.h_basis):
-            if j < i:
-                continue
-            z = bracket(x, y)
-            if not is_zero_element(z) and not linalg.in_span(hvecs, vectorize(z)):
+        for j, y in enumerate(pres.h_basis[i:], i):
+            z = bracket(pres.blocks, x, y)
+            if any(z) and not linalg.in_span(pres.h_basis, z):
                 raise ValueError(f"h_basis not bracket-closed at pair ({i}, {j})")
-    bvecs = [vectorize(x) for x in pres.b_basis]
     for i, (e, h, _) in enumerate(pres.triples):
-        if not linalg.in_span(bvecs, vectorize(e)):
+        if not linalg.in_span(pres.b_basis, e):
             raise ValueError(f"e for {pres.rs.root_name(i)} is outside span(b)")
-        if not linalg.in_span(bvecs, vectorize(h)):
+        if not linalg.in_span(pres.b_basis, h):
             raise ValueError(f"h for {pres.rs.root_name(i)} is outside span(b)")
 
 
@@ -210,8 +193,7 @@ def validate_presentation(pres: LiePresentation) -> None:
 def open_orbit_check(pres: LiePresentation) -> bool:
     """Does span(b, h) fill the whole algebra?  (The basepoint lies in
     the open B-orbit exactly when this holds.)"""
-    vecs = [vectorize(x) for x in pres.b_basis] + [vectorize(x) for x in pres.h_basis]
-    return linalg.rank(vecs) == algebra_dim(pres.blocks)
+    return linalg.rank(pres.b_basis + pres.h_basis) == algebra_dim(pres.blocks)
 
 
 def parabolic_basis(pres: LiePresentation, alpha: int) -> list[Element]:
@@ -222,10 +204,7 @@ def parabolic_basis(pres: LiePresentation, alpha: int) -> list[Element]:
 
 def stabilizer_in_parabolic(pres: LiePresentation, alpha: int) -> list[Element]:
     """Basis of h intersected with the minimal parabolic p_alpha."""
-    hvecs = [vectorize(x) for x in pres.h_basis]
-    pvecs = [vectorize(x) for x in parabolic_basis(pres, alpha)]
-    inter = linalg.intersect(hvecs, pvecs)
-    return [unvectorize(pres.blocks, v) for v in inter]
+    return linalg.intersect(pres.h_basis, parabolic_basis(pres, alpha))
 
 
 @lru_cache(maxsize=64)
@@ -249,8 +228,8 @@ def _positive_root_vectors(pres: LiePresentation):
             prev = out.get(tuple(down))
             if prev is None:
                 continue
-            cand = bracket(pres.triples[i][0], prev)
-            if not is_zero_element(cand):
+            cand = bracket(pres.blocks, pres.triples[i][0], prev)
+            if any(cand):
                 built = cand
                 break
         if built is None:
@@ -262,26 +241,22 @@ def _positive_root_vectors(pres: LiePresentation):
 
 @lru_cache(maxsize=256)
 def _adapted_basis(pres: LiePresentation, alpha: int):
-    """Covectors reading the (e, h, f) coordinates of the alpha-sl2 off a
-    vectorized element of p_alpha: the flattened transposes of f, h and
-    e, scaled by 1/tr(ef), 1/tr(hh) and 1/tr(ef).  The positive root
-    vectors are built first, as the check that the triples are not
-    degenerate."""
+    """Covectors reading the (e, h, f) coordinates of the alpha-sl2 off an
+    element of p_alpha: the blockwise transposes of f, h and e, scaled by
+    1/tr(ef), 1/tr(hh) and 1/tr(ef), which are positive since
+    make_presentation rejects h = 0.  The positive root vectors are built
+    first, as the check that the triples are not degenerate."""
     _positive_root_vectors(pres)
     e, h, f = pres.triples[alpha]
-    te, th, tf = (_transposed(x) for x in (e, h, f))
-    ef, hh = _dot(vectorize(e), tf), _dot(vectorize(h), th)
-    if hh == 0:  # a sum of squares of h's integer eigenvalues: h = e = f = 0
-        raise InconsistencyError(
-            f"presentation has a zero triple for {pres.rs.root_name(alpha)} "
-            "(triples degenerate)")
+    te, th, tf = (_transposed(pres.blocks, x) for x in (e, h, f))
+    ef, hh = _dot(e, tf), _dot(h, th)
     return tuple(tuple(v / t for v in cov) for cov, t in ((tf, ef), (th, hh), (te, ef)))
 
 
-def _transposed(x: Element) -> tuple:
-    """vectorize of the blockwise transpose, so that tr(x y) is
-    vectorize(x) . _transposed(y)."""
-    return tuple(blk[j][i] for blk in x for i in range(len(blk)) for j in range(len(blk)))
+def _transposed(blocks, x: Element) -> Element:
+    """The blockwise transpose, so that tr(xy) is x . _transposed(blocks, y)."""
+    return tuple(x[pos + j * n + i] for pos, n in _offsets(blocks)
+                 for i in range(n) for j in range(n))
 
 
 def _dot(u, v) -> Fraction:
@@ -299,11 +274,10 @@ def dphi_project(pres: LiePresentation, alpha: int, x: Element) -> Matrix:
     x must lie in p_alpha."""
     pres.rs._check_index(alpha)
     covectors = _adapted_basis(pres, alpha)
-    vec = vectorize(x)
-    if not linalg.in_span([vectorize(y) for y in parabolic_basis(pres, alpha)], vec):
+    if not linalg.in_span(parabolic_basis(pres, alpha), x):
         raise ValueError(
             f"element is not in the minimal parabolic of {pres.rs.root_name(alpha)}")
-    return _sl2_coords(covectors, vec)
+    return _sl2_coords(covectors, x)
 
 
 class ImageClass(Enum):
@@ -354,7 +328,7 @@ def image_for_root(pres: LiePresentation, alpha: int) -> Sl2Image:
         raise InconsistencyError(
             f"stabilizer meets the parabolic of {pres.rs.root_name(alpha)} trivially")
     covectors = _adapted_basis(pres, alpha)
-    return classify_image([_sl2_coords(covectors, vectorize(x)) for x in stab])
+    return classify_image([_sl2_coords(covectors, x) for x in stab])
 
 
 def _minv2(m: Matrix) -> Matrix:
@@ -378,7 +352,7 @@ def resolve_torus_like(image: Sl2Image, witness: Matrix | None = None,
     if witness is not None:
         w = _mat(witness)
         conj = _mmul(_mmul(w, t), _minv2(w))
-        if conj == _mscale(-1, t):
+        if conj == tuple(tuple(-v for v in row) for row in t):
             return ColorType.TWO_A
         if conj != t:
             raise InconsistencyError("witness does not normalize the image torus")
@@ -443,16 +417,25 @@ def classify_knop(pres: LiePresentation, datum: SphericalDatum,
 
 # ------------------------------------------------------------- JSON
 
-def _flat_to_rows(flat, n, where, conv):
+def _entries(flat, n, where) -> list:
+    """The n*n exact entries of a flat JSON array."""
+    if not isinstance(flat, list):
+        raise SchemaError(f"{where}: expected a flat array")
     if len(flat) != n * n:
-        raise ValueError(f"{where}: expected {n * n} entries, got {len(flat)}")
-    vals = [conv(x, f"{where}[{i}]") for i, x in enumerate(flat)]
-    return [vals[i * n:(i + 1) * n] for i in range(n)]
+        raise SchemaError(f"{where}: expected {n * n} entries, got {len(flat)}")
+    return [rational_from_json(x, f"{where}[{i}]") for i, x in enumerate(flat)]
+
+
+def _no_unknown(obj: dict, known, where: str) -> None:
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
 
 
 def presentation_to_json(pres: LiePresentation) -> dict:
     def elem(x: Element):
-        return [[rational_to_json(v) for row in blk for v in row] for blk in x]
+        return [[rational_to_json(v) for v in x[pos:pos + n * n]]
+                for pos, n in _offsets(pres.blocks)]
 
     def mat2(m: Matrix):
         return [rational_to_json(v) for row in m for v in row]
@@ -475,25 +458,16 @@ def presentation_to_json(pres: LiePresentation) -> dict:
 def presentation_from_json(obj, rs: RootSystem) -> LiePresentation:
     if not isinstance(obj, dict):
         raise SchemaError("presentation: expected an object")
-    unknown = set(obj) - {"blocks", "h_basis", "b_basis", "triples", "witnesses"}
-    if unknown:
-        raise SchemaError(f"presentation: unknown fields {sorted(unknown)}")
+    _no_unknown(obj, ("blocks", "h_basis", "b_basis", "triples", "witnesses"), "presentation")
     blocks = obj.get("blocks")
     if not isinstance(blocks, list) or not all(isinstance(n, int) and n >= 1 for n in blocks):
         raise SchemaError("presentation.blocks: expected a list of positive sizes")
 
-    def elem(raw, where):
+    def elem(raw, where) -> Element:
         if not isinstance(raw, list) or len(raw) != len(blocks):
             raise SchemaError(f"{where}: expected {len(blocks)} block arrays")
-        mats = []
-        for bi, (n, flat) in enumerate(zip(blocks, raw)):
-            if not isinstance(flat, list):
-                raise SchemaError(f"{where}[{bi}]: expected a flat array")
-            try:
-                mats.append(_flat_to_rows(flat, n, f"{where}[{bi}]", rational_from_json))
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from None
-        return element(blocks, mats)
+        return tuple(v for bi, (n, flat) in enumerate(zip(blocks, raw))
+                     for v in _entries(flat, n, f"{where}[{bi}]"))
 
     def array(name):
         raw = obj.get(name, [])
@@ -508,21 +482,24 @@ def presentation_from_json(obj, rs: RootSystem) -> LiePresentation:
     traw = obj.get("triples", {})
     if not isinstance(traw, dict):
         raise SchemaError("presentation.triples: expected an object")
+    names = [rs.root_name(i) for i in range(rs.rank)]
+    _no_unknown(traw, names, "presentation.triples")
     triples = []
-    for i in range(rs.rank):
-        name = rs.root_name(i)
+    for name in names:
         if name not in traw:
             raise SchemaError(f"presentation.triples: missing {name}")
         t = traw[name]
+        where = f"presentation.triples.{name}"
         if not isinstance(t, dict) or any(tag not in t for tag in ("e", "h", "f")):
-            raise SchemaError(f"presentation.triples.{name}: expected e, h and f")
-        triples.append(tuple(elem(t[tag], f"presentation.triples.{name}.{tag}")
-                             for tag in ("e", "h", "f")))
+            raise SchemaError(f"{where}: expected e, h and f")
+        _no_unknown(t, ("e", "h", "f"), where)
+        triples.append(tuple(elem(t[tag], f"{where}.{tag}") for tag in ("e", "h", "f")))
     witnesses = []
     for wi, wraw in enumerate(array("witnesses")):
         where = f"presentation.witnesses[{wi}]"
         if not isinstance(wraw, dict):
             raise SchemaError(f"{where}: expected an object")
+        _no_unknown(wraw, ("color", "root", "matrix"), where)
         cn = wraw.get("color")
         if not isinstance(cn, str) or not cn:
             raise SchemaError(f"{where}.color: expected a color name")
@@ -530,14 +507,8 @@ def presentation_from_json(obj, rs: RootSystem) -> LiePresentation:
             a = rs.root_index(str(wraw.get("root")))
         except ValueError as exc:
             raise SchemaError(f"{where}.root: {exc}") from None
-        flat = wraw.get("matrix")
-        if not isinstance(flat, list):
-            raise SchemaError(f"{where}.matrix: expected a flat array")
-        try:
-            rows = _flat_to_rows(flat, 2, f"{where}.matrix", rational_from_json)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-        witnesses.append((cn, a, _mat(rows)))
+        m = _entries(wraw.get("matrix"), 2, f"{where}.matrix")
+        witnesses.append((cn, a, (m[:2], m[2:])))
     try:
         return make_presentation(rs, blocks, h_basis, b_basis, triples, witnesses)
     except ValueError as exc:

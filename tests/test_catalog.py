@@ -1,5 +1,6 @@
 """Built-in examples: every entry reproduces its frozen expected values
 and survives the full validation and serialization paths."""
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,41 @@ def test_dump_document_round_trips(key, n):
         assert presentation_to_json(pres) == presentation_to_json(entry.presentation)
     # the dumped text parses as a bare datum too (presentation tolerated)
     assert datum_to_json(parse_datum(text)) == datum_to_json(entry.datum)
+
+
+# sha256 of dump_document for every entry with a presentation, n <= 5:
+# the bytes of a dumped document are part of the format
+DUMP_SHA256 = {
+    ("sl2_mod_T", None): "c4343e04b192fd506bfc28ae036fd5e8d9bfe55c56640f71eba779bb155f6222",
+    ("sl2_mod_N", None): "393a1da88950297ad413d87e373866b760113cfd274d6872f07f5d236965b809",
+    ("sl2_mod_U", None): "d20f0f221566c1f8d2c06a0effcf05e8e023d9351657345e9468b83ac076b06c",
+    ("brion_5_2", None): "522b4b27f8dad0e01b42e9e97f19feb1fe9f3bd395bc83b11f1d4234df82dc95",
+    ("brion_5_1", 2): "26e225b7aad57b7911d8103504dd84d51e963e4f22b8d20d8b321d1e87960419",
+    ("brion_5_1", 3): "42dd6d7bd2cddfc627685cb4b9236d7db681e834de97cffa6e4adb43f1245683",
+    ("brion_5_1", 4): "49ffb05ff76b7dcec3348fc009992f851daf25554a5511cf41dba0694eb968a2",
+    ("brion_5_1", 5): "bacb02915d57212e6beb25a8d9e9b8db9e34275b8e7ac5b3c963b37a5b8ffb12",
+}
+
+
+@pytest.mark.parametrize("key,n", list(DUMP_SHA256))
+def test_dump_document_is_byte_stable(key, n):
+    entry = builtin(key, n)
+    assert entry.presentation is not None
+    text = dump_document(entry.datum, entry.presentation)
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[key, n]
+
+
+def test_byte_stable_dumps_cover_every_presentation():
+    entries = set()
+    for key in catalog_keys():
+        for n in [None] + list(range(6)):
+            try:
+                entry = builtin(key, n)
+            except ValueError:
+                continue
+            if entry.presentation is not None:
+                entries.add((key, n))
+    assert entries == set(DUMP_SHA256)
 
 
 def test_dump_is_valid_json_with_stable_top_level():

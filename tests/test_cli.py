@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import sphdiv.anticanon
 import sphdiv.catalog
 import sphdiv.lunatypes
 import sphdiv.rootsys
@@ -185,12 +186,13 @@ def test_presentation_readers_build_it_once(capsys, presentation_builds, argv):
 
 @pytest.fixture
 def fact_calls(monkeypatch):
-    """Calls of kappa, resolved_types and classify_luna, counted wherever
-    sphdiv binds them."""
-    calls = {"kappa": 0, "resolved_types": 0, "classify_luna": 0}
+    """Calls of kappa, resolved_types, classify_luna and the cone data,
+    counted wherever sphdiv binds them."""
+    calls = {"kappa": 0, "resolved_types": 0, "classify_luna": 0, "_require_cone_data": 0}
     for name, real in (("kappa", sphdiv.rootsys.kappa),
                        ("resolved_types", sphdiv.lunatypes.resolved_types),
-                       ("classify_luna", sphdiv.lunatypes.classify_luna)):
+                       ("classify_luna", sphdiv.lunatypes.classify_luna),
+                       ("_require_cone_data", sphdiv.anticanon._require_cone_data)):
         def counting(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -217,6 +219,11 @@ def test_luna_classifies_each_color_once(capsys, fact_calls, command):
     # brion_5_2 has three declared colors and spherical roots
     assert run(capsys, command, "catalog:brion_5_2")[0] == 0
     assert fact_calls["classify_luna"] == 3
+
+
+def test_cone_resolves_the_cone_data_once(capsys, fact_calls):
+    assert run(capsys, "cone", "catalog:brion_5_2")[0] == 0
+    assert fact_calls["_require_cone_data"] == 1
 
 
 def test_entry_presentation_is_built_once_and_kept(presentation_builds):

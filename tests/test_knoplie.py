@@ -13,13 +13,12 @@ from sphdiv.docio import dump_document
 from sphdiv.errors import (InconsistencyError, InsufficientDataError, SchemaError,
                            UnresolvedTypeError)
 from sphdiv.knoplie import (ImageClass, algebra_dim, bracket, classify_image,
-                            classify_knop, dphi_project, element, escale,
-                            image_for_root, is_zero_element, make_presentation,
-                            open_orbit_check, parabolic_basis, presentation_from_json,
-                            presentation_to_json, resolve_torus_like,
-                            stabilizer_in_parabolic, unvectorize, validate_presentation,
-                            vectorize, _positive_root_vectors)
-from sphdiv.linalg import nullspace, solve_columns
+                            classify_knop, dphi_project, element, image_for_root,
+                            make_presentation, open_orbit_check, parabolic_basis,
+                            presentation_from_json, presentation_to_json,
+                            resolve_torus_like, stabilizer_in_parabolic,
+                            validate_presentation, _positive_root_vectors)
+from sphdiv.linalg import in_span, nullspace, solve_columns
 from sphdiv.lunatypes import ColorType, classify_luna
 from sphdiv.rootsys import Weight, build_root_system, positive_roots
 
@@ -71,25 +70,24 @@ TWISTED3 = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]])
 def test_bracket_sl2_relations():
     blocks = (2,)
     e, h, f = (element(blocks, [m]) for m in (E, H, F))
-    assert bracket(e, f) == h
-    assert bracket(h, e) == escale(2, e)
-    assert bracket(h, f) == escale(-2, f)
-    assert is_zero_element(bracket(e, e))
+    assert bracket(blocks, e, f) == h
+    assert bracket(blocks, h, e) == tuple(2 * v for v in e)
+    assert bracket(blocks, h, f) == tuple(-2 * v for v in f)
+    assert not any(bracket(blocks, e, e))
 
 
-def _dense_mmul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
+def _dense_bracket(blocks, x, y):
+    """The dense bracket that the row-sparse product replaced, read
+    straight off the flat layout: the oracle."""
+    out, pos = [], 0
+    for n in blocks:
+        def at(v, i, j):
+            return v[pos + i * n + j]
 
-
-def _dense_bracket(x, y):
-    """The dense bracket that the row-sparse product replaced: the oracle."""
-    out = []
-    for a, b in zip(x, y):
-        ab, ba = _dense_mmul(a, b), _dense_mmul(b, a)
-        out.append(tuple(tuple(p + Fraction(-1) * q for p, q in zip(ra, rb))
-                         for ra, rb in zip(ab, ba)))
+        out += (sum(at(x, i, k) * at(y, k, j) - at(y, i, k) * at(x, k, j)
+                    for k in range(n))
+                for i in range(n) for j in range(n))
+        pos += n * n
     return tuple(out)
 
 
@@ -117,24 +115,24 @@ def _block(draw, n):
 def _element_pair(draw):
     blocks = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))) + (1,)
     blocks = draw(st.permutations(blocks))
-    return tuple(element(blocks, [draw(_block(n)) for n in blocks]) for _ in range(2))
+    return blocks, tuple(element(blocks, [draw(_block(n)) for n in blocks]) for _ in range(2))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_element_pair())
 def test_sparse_bracket_matches_dense_oracle(pair):
-    x, y = pair
-    got, want = bracket(x, y), _dense_bracket(x, y)
+    blocks, (x, y) = pair
+    got, want = bracket(blocks, x, y), _dense_bracket(blocks, x, y)
     assert got == want
     assert hash(got) == hash(want)
-    assert all(type(v) is Fraction for v in vectorize(got))
+    assert len(got) == sum(n * n for n in blocks)
+    assert all(type(v) is Fraction for v in got)
 
 
-def test_vectorize_round_trip():
-    blocks = (2, 1, 2)
-    x = element(blocks, [E, [[5]], H])
-    assert unvectorize(blocks, vectorize(x)) == x
-    assert len(vectorize(x)) == 4 + 1 + 4
+def test_element_concatenates_block_rows():
+    x = element((2, 1, 2), [E, [[5]], [[1, Fraction(1, 2)], [3, -1]]])
+    assert x == (0, 1, 0, 0, 5, 1, Fraction(1, 2), 3, -1)
+    assert all(type(v) is Fraction for v in x)
 
 
 def test_element_shape_checks():
@@ -173,6 +171,14 @@ def test_make_presentation_wrong_triple_count():
 def test_make_presentation_rejects_trace():
     with pytest.raises(ValueError, match="trace"):
         _sl2_pres([[[1, 0], [0, 1]]])
+
+
+def test_make_presentation_rejects_wrong_length():
+    rs = build_root_system("A1")
+    blocks = (2,)
+    e, h, f = (element(blocks, [m]) for m in (E_LO, H_LO, F_LO))
+    with pytest.raises(ValueError, match=r"h_basis\[0\]: expected 4 entries, got 5"):
+        make_presentation(rs, blocks, [h + (0,)], [h, e], [(e, h, f)])
 
 
 def test_make_presentation_rejects_broken_triple():
@@ -254,13 +260,10 @@ def test_stabilizer_dims_untwisted_vs_twisted():
 
 def test_stabilizer_members_lie_in_h_and_parabolic():
     pres = builtin("brion_5_2", None).presentation
-    from sphdiv.linalg import in_span
-    hvecs = [vectorize(x) for x in pres.h_basis]
     for alpha in range(3):
-        pvecs = [vectorize(x) for x in parabolic_basis(pres, alpha)]
         for s in stabilizer_in_parabolic(pres, alpha):
-            assert in_span(hvecs, vectorize(s))
-            assert in_span(pvecs, vectorize(s))
+            assert in_span(pres.h_basis, s)
+            assert in_span(parabolic_basis(pres, alpha), s)
 
 
 # ---------------------------------------------------------------- projection
@@ -294,7 +297,7 @@ def test_dphi_is_linear_on_stabilizer():
     pres = builtin("brion_5_2", None).presentation
     (s,) = stabilizer_in_parabolic(pres, 0)
     one = dphi_project(pres, 0, s)
-    three = dphi_project(pres, 0, escale(3, s))
+    three = dphi_project(pres, 0, tuple(3 * v for v in s))
     assert three == tuple(tuple(3 * x for x in row) for row in one)
 
 
@@ -321,7 +324,7 @@ def _oracle_project(pres, alpha, x):
     every other positive root vector, which assumes b is spanned by the
     last three.  The trace-form projection must agree wherever it holds."""
     rs = pres.rs
-    hvecs = [vectorize(t[1]) for t in pres.triples]
+    hvecs = [t[1] for t in pres.triples]
     col = [tuple(Fraction(rs.cartan[j][alpha]) for j in range(rs.rank))]
     kernel = [tuple(sum(c * v for c, v in zip(combo, entries)) for entries in zip(*hvecs))
               for combo in nullspace(col)]
@@ -331,9 +334,9 @@ def _oracle_project(pres, alpha, x):
             kernel.append(tuple(Fraction(int(i == pos)) for i in range(dim)))
         pos += n * n
     unit = tuple(int(i == alpha) for i in range(rs.rank))
-    kernel += [vectorize(v) for coeffs, v in sorted(_positive_root_vectors(pres).items())
+    kernel += [v for coeffs, v in sorted(_positive_root_vectors(pres).items())
                if coeffs != unit]
-    sol = solve_columns([vectorize(t) for t in pres.triples[alpha]] + kernel, vectorize(x))
+    sol = solve_columns(list(pres.triples[alpha]) + kernel, x)
     assert sol is not None, "outside the span of the adapted basis"
     ce, ch, cf = sol[:3]
     return ((ch, ce), (cf, -ch))
@@ -343,12 +346,11 @@ def _sign_conjugate(pres, signs):
     """The presentation conjugated blockwise by diag(signs), which maps
     entry (i, j) of a block to signs[i] * signs[j] times itself."""
     def conj(x):
-        out, pos = [], 0
-        for blk in x:
-            d = signs[pos:pos + len(blk)]
-            out.append(tuple(tuple(d[i] * d[j] * v for j, v in enumerate(row))
-                             for i, row in enumerate(blk)))
-            pos += len(blk)
+        out, pos, first = [], 0, 0
+        for n in pres.blocks:
+            d = signs[first:first + n]
+            out += (d[i] * d[j] * x[pos + i * n + j] for i in range(n) for j in range(n))
+            pos, first = pos + n * n, first + n
         return tuple(out)
 
     return make_presentation(pres.rs, pres.blocks, [conj(x) for x in pres.h_basis],
@@ -434,21 +436,33 @@ def test_classify_knop_reports_degenerate_triples():
 
 
 def test_zero_triple_is_degenerate():
+    # e = h = f = 0 satisfies every bracket relation of a triple
     rs = build_root_system("A1")
     blocks = (2,)
     zero = element(blocks, [ZERO2])
-    pres = make_presentation(rs, blocks, [element(blocks, [F_LO])],
-                             [element(blocks, [H_LO]), element(blocks, [E_LO])],
-                             [(zero, zero, zero)])
-    with pytest.raises(InconsistencyError, match="zero triple"):
-        dphi_project(pres, 0, zero)
+    with pytest.raises(ValueError, match=r"triple a1 is zero \(degenerate\)"):
+        make_presentation(rs, blocks, [element(blocks, [F_LO])],
+                          [element(blocks, [H_LO]), element(blocks, [E_LO])],
+                          [(zero, zero, zero)])
+
+
+def test_zero_triple_document_is_a_schema_error(tmp_path, capsys):
+    entry = builtin("sl2_mod_U", None)
+    doc = json.loads(dump_document(entry.datum, entry.presentation))
+    doc["presentation"]["triples"]["a1"] = {tag: [[0, 0, 0, 0]] for tag in "ehf"}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["validate"], ["types", "--method", "knop"]):
+        assert main([command[0], str(path)] + command[1:]) == 2
+        assert capsys.readouterr().err == \
+            "schema error: presentation: triple a1 is zero (degenerate)\n"
 
 
 def test_positive_root_vectors_cover_all_roots():
     pres = builtin("brion_5_1", 3).presentation
     vecs = _positive_root_vectors(pres)
     assert len(vecs) == len(positive_roots(pres.rs))
-    assert all(not is_zero_element(v) for v in vecs.values())
+    assert all(any(v) for v in vecs.values())
 
 
 def test_positive_root_vectors_degenerate():
@@ -689,30 +703,50 @@ def _upres_doc():
     return presentation_to_json(builtin("sl2_mod_U", None).presentation)
 
 
-@pytest.mark.parametrize("mutate", [
-    pytest.param(lambda d: "x", id="not-object"),
-    pytest.param(lambda d: {**d, "extra": 1}, id="unknown-field"),
-    pytest.param(lambda d: {**d, "blocks": [0]}, id="bad-block-size"),
-    pytest.param(lambda d: {**d, "blocks": "2"}, id="blocks-not-list"),
-    pytest.param(lambda d: {**d, "triples": {}}, id="missing-triple"),
-    pytest.param(lambda d: {**d, "triples": {"a1": [1, 2, 3]}}, id="triple-not-object"),
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(lambda d: "x", "presentation: expected an object", id="not-object"),
+    pytest.param(lambda d: {**d, "extra": 1}, "presentation: unknown fields ['extra']",
+                 id="unknown-field"),
+    pytest.param(lambda d: {**d, "blocks": [0]},
+                 "presentation.blocks: expected a list of positive sizes", id="bad-block-size"),
+    pytest.param(lambda d: {**d, "blocks": "2"},
+                 "presentation.blocks: expected a list of positive sizes", id="blocks-not-list"),
+    pytest.param(lambda d: {**d, "triples": {}}, "presentation.triples: missing a1",
+                 id="missing-triple"),
+    pytest.param(lambda d: {**d, "triples": {"a1": [1, 2, 3]}},
+                 "presentation.triples.a1: expected e, h and f", id="triple-not-object"),
     pytest.param(lambda d: {**d, "triples": {"a1": {"e": d["triples"]["a1"]["e"]}}},
-                 id="triple-missing-tags"),
-    pytest.param(lambda d: {**d, "h_basis": [[[1, 0, 0]]]}, id="flat-length"),
-    pytest.param(lambda d: {**d, "h_basis": [[[0.5, 0, 0, 0]]]}, id="float-entry"),
+                 "presentation.triples.a1: expected e, h and f", id="triple-missing-tags"),
+    pytest.param(lambda d: {**d, "triples": {**d["triples"], "a7": d["triples"]["a1"]}},
+                 "presentation.triples: unknown fields ['a7']", id="triple-unknown-name"),
+    pytest.param(lambda d: {**d, "triples": {"a1": {**d["triples"]["a1"], "zzz": 1}}},
+                 "presentation.triples.a1: unknown fields ['zzz']", id="triple-unknown-field"),
+    pytest.param(lambda d: {**d, "h_basis": [[[1, 0, 0]]]},
+                 "presentation.h_basis[0][0]: expected 4 entries, got 3", id="flat-length"),
+    pytest.param(lambda d: {**d, "h_basis": [[[0.5, 0, 0, 0]]]},
+                 "presentation.h_basis[0][0][0]: floats are not accepted, write '0.5' as 'p/q'",
+                 id="float-entry"),
     pytest.param(lambda d: {**d, "witnesses": [{"root": "a1", "matrix": [1, 0, 0, 1]}]},
+                 "presentation.witnesses[0].color: expected a color name",
                  id="witness-no-color"),
     pytest.param(lambda d: {**d, "witnesses": [{"color": "D1", "root": "a9",
                                                 "matrix": [1, 0, 0, 1]}]},
+                 "presentation.witnesses[0].root: simple root a9 out of range for A1",
                  id="witness-bad-root"),
     pytest.param(lambda d: {**d, "witnesses": [{"color": "D1", "root": "a1",
                                                 "matrix": [1, 0, 0]}]},
+                 "presentation.witnesses[0].matrix: expected 4 entries, got 3",
                  id="witness-short-matrix"),
+    pytest.param(lambda d: {**d, "witnesses": [{"color": "D1", "root": "a1",
+                                                "matrix": [1, 0, 0, 1], "zzz": 1}]},
+                 "presentation.witnesses[0]: unknown fields ['zzz']",
+                 id="witness-unknown-field"),
 ])
-def test_presentation_json_rejection(mutate):
+def test_presentation_json_rejection(mutate, message):
     rs = build_root_system("A1")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as exc:
         presentation_from_json(mutate(_upres_doc()), rs)
+    assert str(exc.value) == message
 
 
 def test_presentation_json_wraps_structural_errors():
