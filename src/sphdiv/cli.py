@@ -81,8 +81,9 @@ def _vec_json(xs) -> list:
 
 
 def _emit(args, doc: dict, table) -> None:
+    """Print `doc` as one line of compact JSON under --json, else the table."""
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, separators=(",", ":")))
     else:
         table()
 
@@ -277,14 +278,14 @@ def _cmd_validate(args) -> int:
 def _cmd_catalog(args) -> int:
     if args.action == "list":
         keys = catalog_keys()
-        if args.json:
-            print(json.dumps({"keys": [
-                {"key": k, "parametric": k in _PARAMETRIC} for k in keys
-            ], }, indent=2))
-        else:
+
+        def table():
             for k in keys:
                 note = "  (parametric, needs --n)" if k in _PARAMETRIC else ""
                 print(f"{k}{note}")
+
+        _emit(args, {"keys": [{"key": k, "parametric": k in _PARAMETRIC} for k in keys]},
+              table)
         return 0
     datum, presentation = _load_source(f"catalog:{args.key}", args.n)
     print(dump_document(datum, presentation()))

@@ -20,7 +20,7 @@ from . import linalg
 from .errors import DatumError, SchemaError
 from .lunatypes import chi_pairing_findings, classify_luna, resolved_types
 from .report import Finding, sort_findings
-from .rootsys import Coweight, RootSystem,Weight, build_root_system
+from .rootsys import Coweight, RootSystem, Weight, build_root_system, pair
 
 SCHEMA_VERSION = "sphdatum/1"
 
@@ -249,10 +249,13 @@ def datum_from_json(doc) -> SphericalDatum:
         if linalg.rank(vecs) < len(sigma):
             raise SchemaError("spherical_roots: not linearly independent")
         if lattice_M is not None:
-            mvecs = [m.coords() for m in lattice_M]
-            for i, s in enumerate(sigma):
-                if not linalg.in_span(mvecs, s.coords()):
-                    raise SchemaError(f"spherical_roots[{i}]: not in the span of M")
+            outside = outside_lattice_m(lattice_M, sigma)
+            if outside:
+                raise SchemaError(f"spherical_roots[{outside[0]}]: not in the lattice M")
+    if lattice_M is not None:
+        for ci, c in enumerate(colors):
+            if c.rho_D is not None and not in_lattice_n(lattice_M, c.rho_D):
+                raise SchemaError(f"colors[{ci}].rho: not in N = Hom(M, Z)")
 
     bc = doc.get("boundary_count", 0)
     if not isinstance(bc, int) or isinstance(bc, bool) or bc < 0:
@@ -289,13 +292,37 @@ def serialize_datum(datum: SphericalDatum) -> str:
     return json.dumps(datum_to_json(datum), indent=2)
 
 
+# ------------------------------------------------------------- lattices
+
+def outside_lattice_m(lattice_M, weights) -> list[int]:
+    """Indices of the weights outside the lattice M.  With M a basis, a
+    weight lies in M exactly when its unique rational coordinates in that
+    basis are integers.  A dependent M has no unique coordinates; there
+    only the span is tested, and the cone code rejects such an M."""
+    mvecs = [m.coords() for m in lattice_M]
+    out = []
+    for i, w in enumerate(weights):
+        x = linalg.solve_columns(mvecs, w.coords())
+        if x is None or (any(c.denominator != 1 for c in x)
+                         and linalg.rank(mvecs) == len(mvecs)):
+            out.append(i)
+    return out
+
+
+def in_lattice_n(lattice_M, rho_D: Coweight) -> bool:
+    """Whether a coweight lies in N = Hom(M, Z): integral on every
+    generator of M."""
+    return all(pair(rho_D, m).denominator == 1 for m in lattice_M)
+
+
 # ------------------------------------------------------------- validation
 
 def validate_datum(datum: SphericalDatum, kinds=None) -> list[Finding]:
     """Semantic consistency findings, deterministic and order-independent.
 
     Covers: Sp recomputation, |Delta(alpha)| <= 2, moved_by disjoint from
-    Sp, independence and M-membership of the spherical roots, agreement
+    Sp, independence and M-membership of the spherical roots,
+    N-membership of the colors' rho, agreement
     of declared types with the spherical-root classification, and the
     chi pairing table when enough data is present.
 
@@ -335,12 +362,18 @@ def validate_datum(datum: SphericalDatum, kinds=None) -> list[Finding]:
         out.append(Finding("sigma-independent", "spherical_roots",
                            "linearly independent", "ok" if ok else "dependent", ok))
         if datum.lattice_M is not None:
-            mvecs = [m.coords() for m in datum.lattice_M]
-            outside = [i for i, v in enumerate(vecs) if not linalg.in_span(mvecs, v)]
-            out.append(Finding("sigma-in-span-m", "spherical_roots",
-                               "contained in span(M)",
+            outside = outside_lattice_m(datum.lattice_M, datum.spherical_roots)
+            out.append(Finding("sigma-in-lattice-m", "spherical_roots",
+                               "contained in the lattice M",
                                "ok" if not outside else f"outside at indices {outside}",
                                not outside))
+
+    if datum.lattice_M is not None:
+        for c in datum.colors:
+            if c.rho_D is not None:
+                ok = in_lattice_n(datum.lattice_M, c.rho_D)
+                out.append(Finding("rho-in-lattice-n", c.name, "integral on M",
+                                   "ok" if ok else "not integral on M", ok))
 
     declared = [c for c in datum.colors if c.declared_type is not None]
     if kinds is None and (datum.spherical_roots is not None and declared

@@ -171,9 +171,6 @@ class RootSystem:
         self._check_index(i)
         return Weight(tuple(row[i] for row in self.cartan), (0,) * self.central_rank)
 
-    def rho_weight(self) -> "Weight":
-        return Weight((1,) * self.rank, (0,) * self.central_rank)
-
 
 def build_root_system(spec) -> RootSystem:
     if isinstance(spec, str):
@@ -276,39 +273,64 @@ def pair(cw, w: Weight) -> Fraction:
     return sum((a * b for a, b in zip(cw.coords, coords)), Fraction(0))
 
 
-def _weight_of_coeffs(rs: RootSystem, coeffs) -> Weight:
+def _sparse_columns(rs: RootSystem) -> list[tuple]:
+    """Column j of the Cartan matrix as its nonzero (k, C[k][j]) pairs,
+    so that a root's weight reads only its support."""
+    return [tuple((k, row[j]) for k, row in enumerate(rs.cartan) if row[j])
+            for j in range(rs.rank)]
+
+
+def _weight_of_coeffs(rs: RootSystem, columns, coeffs) -> Weight:
     fund = [0] * rs.rank
-    for k in range(rs.rank):
-        row = rs.cartan[k]
-        fund[k] = sum(row[j] * coeffs[j] for j in range(rs.rank))
+    for j, c in enumerate(coeffs):
+        if c:
+            for k, v in columns[j]:
+                fund[k] += v * c
     return Weight(tuple(fund), (0,) * rs.central_rank)
 
 
-def positive_roots(rs: RootSystem, subset=None) -> list[Root]:
-    """All positive roots of the sub-root-system spanned by `subset`
-    (defaults to all of S), enumerated by closing root strings upward:
-    beta + alpha_i is a root iff p - <alpha_i^vee, beta> > 0 where p is
-    the largest k with beta - k alpha_i a root.
-
-    Deterministic order: by height, then lexicographic coefficients.
-    """
+def _checked_subset(rs: RootSystem, subset) -> list[int]:
     if subset is None:
-        subset = range(rs.rank)
+        return list(range(rs.rank))
     I = sorted(set(subset))
     for i in I:
         rs._check_index(i)
-    known: set[tuple] = set()
-    layer: list[tuple] = []
-    for i in I:
-        e = [0] * rs.rank
-        e[i] = 1
-        known.add(tuple(e))
-        layer.append(tuple(e))
-    C = rs.cartan
+    return I
+
+
+def _dynkin_components(rs: RootSystem, subset) -> list[list[int]]:
+    """The connected components of the Dynkin diagram on `subset`, each
+    sorted, ordered by their least index."""
+    left = set(subset)
+    out = []
+    for start in sorted(left):
+        if start not in left:
+            continue
+        left.discard(start)
+        comp, todo = [start], [start]
+        while todo:
+            i = todo.pop()
+            for j in [j for j in left if rs.cartan[i][j]]:
+                left.discard(j)
+                comp.append(j)
+                todo.append(j)
+        out.append(sorted(comp))
+    return out
+
+
+def _closed_strings(block) -> set[tuple]:
+    """Positive roots of one connected Cartan block, in its own rank, by
+    closing root strings upward: beta + alpha_i is a root iff
+    p - <alpha_i^vee, beta> > 0 where p is the largest k with
+    beta - k alpha_i a root."""
+    m = len(block)
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in block]
+    layer = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
+    known = set(layer)
     while layer:
         nxt = []
         for beta in layer:
-            for i in I:
+            for i in range(m):
                 down = list(beta)
                 p = 0
                 while True:
@@ -317,8 +339,7 @@ def positive_roots(rs: RootSystem, subset=None) -> list[Root]:
                         p += 1
                     else:
                         break
-                pairing = sum(C[i][j] * beta[j] for j in range(rs.rank))
-                if p - pairing > 0:
+                if p - sum(v * beta[j] for j, v in rows[i]) > 0:
                     up = list(beta)
                     up[i] += 1
                     t = tuple(up)
@@ -326,16 +347,63 @@ def positive_roots(rs: RootSystem, subset=None) -> list[Root]:
                         known.add(t)
                         nxt.append(t)
         layer = nxt
-    ordered = sorted(known, key=lambda t: (sum(t), t))
-    return [Root(t, _weight_of_coeffs(rs, t)) for t in ordered]
+    return known
+
+
+def positive_roots(rs: RootSystem, subset=None) -> list[Root]:
+    """All positive roots of the sub-root-system spanned by `subset`
+    (defaults to all of S).  Each Dynkin component of the subset closes
+    its root strings in its own rank (_closed_strings); its roots are
+    lifted back to coefficients over all of S.
+
+    Deterministic order: by height, then lexicographic coefficients.
+    """
+    found = []
+    for comp in _dynkin_components(rs, _checked_subset(rs, subset)):
+        block = [[rs.cartan[i][j] for j in comp] for i in comp]
+        for local in _closed_strings(block):
+            full = [0] * rs.rank
+            for i, c in zip(comp, local):
+                full[i] = c
+            found.append(tuple(full))
+    found.sort(key=lambda t: (sum(t), t))
+    columns = _sparse_columns(rs)
+    return [Root(t, _weight_of_coeffs(rs, columns, t)) for t in found]
+
+
+def _two_rho_coeffs(rs: RootSystem, I: list[int]) -> dict:
+    """2 rho of <I> in simple-root coordinates: the solution c of
+    C_I c = (2, ..., 2), by Gaussian elimination in index order over
+    sparse rows and back-substitution.  Every principal minor of a
+    finite-type Cartan matrix is positive, so no pivot is ever zero.
+    Rows of different Dynkin components share no column, so fill-in
+    stays inside a component."""
+    inside = set(I)
+    rows = {i: {j: Fraction(v) for j, v in enumerate(rs.cartan[i]) if v and j in inside}
+            for i in I}
+    rhs = {i: Fraction(2) for i in I}
+    for n, i in enumerate(I):
+        piv = rows[i]
+        for l in I[n + 1:]:
+            f = rows[l].pop(i, 0)
+            if f:
+                f /= piv[i]
+                for j, v in piv.items():
+                    if j != i:
+                        rows[l][j] = rows[l].get(j, 0) - f * v
+                rhs[l] -= f * rhs[i]
+    c = {}
+    for i in reversed(I):
+        c[i] = (rhs[i] - sum(v * c[j] for j, v in rows[i].items() if j != i)) / rows[i][i]
+    return c
 
 
 def two_rho(rs: RootSystem, subset=None) -> Weight:
-    """Sum of the positive roots of <subset>, an integral weight."""
-    total = rs.zero_weight()
-    for r in positive_roots(rs, subset):
-        total = total + r.as_weight
-    return total
+    """Sum of the positive roots of <subset>, an integral weight: C c
+    for the simple-root coordinates c of _two_rho_coeffs."""
+    c = _two_rho_coeffs(rs, _checked_subset(rs, subset))
+    fund = [sum(row[j] * x for j, x in c.items() if row[j]) for row in rs.cartan]
+    return Weight(tuple(fund), (0,) * rs.central_rank)
 
 
 def kappa(rs: RootSystem, Sp=()) -> Weight:

@@ -1,6 +1,7 @@
 """Acceptance suite: eight end-to-end criteria, one test (and one
 pass/fail line under pytest -v) per criterion.  Timing pins: criterion 1
-must finish under 1 second, criterion 6 under 5 seconds."""
+must finish under 1 second, criterion 6 under 5 seconds, and kappa of
+A64 with a Levi of rank 62 under 0.25 seconds."""
 import random
 import time
 from fractions import Fraction
@@ -170,6 +171,17 @@ def test_criterion_7_root_system_core_invariants():
                 assert v >= 2 and v.denominator == 1
     _ok("criterion 7: positive-root counts, all-ones Weyl vector, and the "
         "kappa pairing dichotomy over 200 random (system, Sp) pairs")
+
+
+def test_kappa_of_rank_64_with_large_levi_is_fast():
+    rs = build_root_system("A64")
+    sp = frozenset(range(1, 63))  # a2..a63
+    t0 = time.perf_counter()
+    kap = kappa(rs, sp)
+    elapsed = time.perf_counter() - t0
+    assert kap.fund == (64,) + (0,) * 62 + (64,)
+    assert elapsed < 0.25, f"kappa(A64, a2..a63) took {elapsed:.3f}s (pinned < 0.25s)"
+    _ok("kappa(A64, a2..a63) = 64 (omega_1 + omega_64), under 0.25s")
 
 
 def test_criterion_8_order_shifts_and_cone_certificates():

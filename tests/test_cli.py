@@ -1,4 +1,6 @@
 """Command-line behavior: exit codes, table/JSON parity, datum sources."""
+import argparse
+import hashlib
 import json
 import sys
 
@@ -8,7 +10,7 @@ import sphdiv.anticanon
 import sphdiv.catalog
 import sphdiv.lunatypes
 import sphdiv.rootsys
-from sphdiv.cli import main
+from sphdiv.cli import _build_parser, main
 from sphdiv.docio import dump_document
 from sphdiv.catalog import builtin
 
@@ -145,6 +147,17 @@ def test_huge_central_torus_is_a_schema_error(tmp_path, capsys):
     code, out, err = run(capsys, "cone", str(p))
     assert (code, out) == (2, "")
     assert err == "schema error: root_system: central rank 20000 exceeds cap 64\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "cone"])
+def test_sigma_in_span_but_not_lattice_is_a_schema_error(tmp_path, capsys, command):
+    p = tmp_path / "half.json"
+    p.write_text('{"version":"sphdatum/1","root_system":"A1","Sp":[],'
+                 '"colors":[{"name":"D1","moved_by":["a1"]}],'
+                 '"M":[{"fund":[4]}],"spherical_roots":[{"fund":[2]}]}', encoding="utf-8")
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert err == "schema error: spherical_roots[0]: not in the lattice M\n"
 
 
 # ---------------------------------------------------------------- laziness
@@ -407,6 +420,57 @@ def test_catalog_list_json(capsys):
     keys = {row["key"]: row["parametric"] for row in doc["keys"]}
     assert keys["toric"] is True
     assert keys["brion_5_2"] is False
+
+
+# sha256 of each answer's JSON object in canonical form (sorted keys, no
+# whitespace), as the indented output of earlier releases parsed to
+_JSON_OBJECTS = [
+    ("roots G2 --json", "75bf6279cb9ebc505cd297f0223e2643cb4c6b2eb247ca0dc22c0b4b5464619d"),
+    ("roots A4xB2 --subset a2,a3,a6 --json",
+     "da712769cff9ad06eaad4ae85dfbb617164fe89d1c0c263c1c1fcf3e3698da5c"),
+    ("kappa catalog:brion_5_1 --n 4 --json",
+     "ba66ba486d65cbab2a932d275f34f4fe59aa4ad9ab77b8c44e035f015aff3982"),
+    ("types catalog:brion_5_3 --n 4 --json",
+     "21102862a69c7b6c0035ca6a97f9128d25d164eba0363495ab81662d8782b9df"),
+    ("types catalog:sl2_mod_N --method both --json",
+     "b6bf943dd6945bf5b5e9f6afcd43a6d435605d80d900c06238861fd59fc531d2"),
+    ("antican catalog:brion_5_4 --n 6 --json",
+     "c4d55cb2e350bf78145587cb7c8f9a779b3baf1925e4c84652bba835124a1718"),
+    ("verify catalog:brion_5_4 --n 3 --json",
+     "a1a39ac0c2d8a6ddf6c17d45803bd73b1c269b28bf589075e3586e34906a168d"),
+    ("cone catalog:sl2_mod_T --json",
+     "259f2045418d89f97170096c16f1234891aae0a501c851e6e93076efbd7b1dea"),
+    ("validate catalog:brion_5_1 --n 3 --json",
+     "cc9cf15def847cd1d8381ca06e67fc478c672b6ed83643de25fc414391b9453b"),
+    ("catalog list --json", "9f74e9ebd6311c3971f753e4c470cf0633c26b1a7081422858c748a5276bb9fa"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _JSON_OBJECTS, ids=[a for a, _ in _JSON_OBJECTS])
+def test_json_is_one_compact_line_of_the_same_object(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    obj = json.loads(out)
+    assert out == json.dumps(obj, separators=(",", ":")) + "\n"
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+def test_every_json_command_is_covered():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    with_json = {name for name, p in sub.choices.items()
+                 if "--json" in p._option_string_actions}
+    assert with_json == {a.split()[0] for a, _ in _JSON_OBJECTS}
+
+
+def test_catalog_dump_stays_indented(capsys):
+    code, out, _ = run(capsys, "catalog", "dump", "sl2_mod_N", "--json")
+    assert code == 0
+    assert out == dump_document(builtin("sl2_mod_N", None).datum,
+                                builtin("sl2_mod_N", None).presentation) + "\n"
+    assert out.startswith('{\n  "version"')
 
 
 def test_catalog_dump_round_trips_via_cli(tmp_path, capsys):

@@ -15,7 +15,7 @@ from sphdiv.datum import (ColorRecord, SphericalDatum, compute_Sp, datum_from_js
 from sphdiv.docio import load_document
 from sphdiv.errors import SchemaError
 from sphdiv.report import all_passed
-from sphdiv.rootsys import Weight, build_root_system
+from sphdiv.rootsys import Coweight, Weight, build_root_system
 
 
 def base_doc():
@@ -164,6 +164,48 @@ def test_schema_rejection(mutate):
         datum_from_json(mutate(base_doc()))
 
 
+# Luna's datum needs the spherical roots in the lattice M, not only in its
+# span, and each color's rho in N = Hom(M, Z)
+_HALF_OF_M = {"version": "sphdatum/1", "root_system": "A1", "Sp": [],
+              "colors": [{"name": "D1", "moved_by": ["a1"]}],
+              "M": [{"fund": [4], "central": []}],
+              "spherical_roots": [{"fund": [2], "central": []}]}
+_RHO_HALF_ON_M = {"version": "sphdatum/1", "root_system": "A1", "Sp": [],
+                  "colors": [{"name": "D1", "moved_by": ["a1"], "rho": ["1/4"]}],
+                  "M": [{"fund": [2], "central": []}],
+                  "spherical_roots": [{"fund": [2], "central": []}]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_HALF_OF_M, r"spherical_roots\[0\]: not in the lattice M"),
+    (_RHO_HALF_ON_M, r"colors\[0\].rho: not in N = Hom\(M, Z\)"),
+])
+def test_lattice_membership_is_integral(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        parse_datum(json.dumps(doc))
+
+
+def test_lattice_membership_accepts_integral_coordinates():
+    doc = copy.deepcopy(_RHO_HALF_ON_M)
+    doc["M"] = [{"fund": [2], "central": []}]
+    doc["spherical_roots"] = [{"fund": [4], "central": []}]
+    doc["colors"][0]["rho"] = ["1/2"]
+    d = parse_datum(json.dumps(doc))
+    found = {f.check: f for f in validate_datum(d)}
+    assert found["sigma-in-lattice-m"].passed
+    assert found["rho-in-lattice-n"].passed
+
+
+def test_dependent_m_is_tested_by_span_only():
+    # (2) and (3) generate Z, so sigma = (1) lies in M although its
+    # particular solution (1/2, 0) is not integral
+    doc = copy.deepcopy(_HALF_OF_M)
+    doc["M"] = [{"fund": [2], "central": []}, {"fund": [3], "central": []}]
+    doc["spherical_roots"] = [{"fund": [1], "central": []}]
+    d = parse_datum(json.dumps(doc))
+    assert {f.check: f for f in validate_datum(d)}["sigma-in-lattice-m"].passed
+
+
 def test_parse_datum_rejects_non_json():
     with pytest.raises(SchemaError, match="not valid JSON"):
         parse_datum("{nope")
@@ -303,7 +345,26 @@ def test_validate_flags_sigma_outside_m_built_in_memory():
     sigma = (Weight((Fraction(0), Fraction(2)), ()),)
     d = SphericalDatum(rs, frozenset({0}), (ColorRecord("D", (1,)),), m, sigma)
     found = {f.check: f for f in validate_datum(d)}
-    assert not found["sigma-in-span-m"].passed
+    assert not found["sigma-in-lattice-m"].passed
+
+
+def test_validate_flags_sigma_in_span_but_not_lattice_built_in_memory():
+    rs = build_root_system("A1")
+    d = SphericalDatum(rs, frozenset(), (ColorRecord("D", (0,)),),
+                       (Weight((Fraction(4),), ()),), (Weight((Fraction(2),), ()),))
+    found = {f.check: f for f in validate_datum(d)}
+    assert not found["sigma-in-lattice-m"].passed
+    assert found["sigma-in-lattice-m"].actual == "outside at indices [0]"
+
+
+def test_validate_flags_rho_outside_n_built_in_memory():
+    rs = build_root_system("A1")
+    color = ColorRecord("D", (0,), rho_D=Coweight((Fraction(1, 4),)))
+    d = SphericalDatum(rs, frozenset(), (color,), (Weight((Fraction(2),), ()),),
+                       (Weight((Fraction(2),), ()),))
+    found = {f.check: f for f in validate_datum(d)}
+    assert not found["rho-in-lattice-n"].passed
+    assert found["rho-in-lattice-n"].subject == "D"
 
 
 def test_validate_findings_order_independent():

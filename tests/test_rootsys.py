@@ -1,12 +1,15 @@
 """Root-system core: Cartan matrices against an independent Euclidean
-oracle, positive-root enumeration, Weyl vectors, pairings."""
+oracle, positive-root enumeration against the whole-subset closure,
+Weyl vectors and kappa against root sums and Bourbaki's closed form,
+pairings."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphdiv.rootsys import (Coweight, RootSystemSpec, Weight, build_root_system,
-                            pair, parse_spec, positive_roots, rho, two_rho)
+from sphdiv.rootsys import (Coweight, RootSystemSpec, Weight, _two_rho_coeffs,
+                            build_root_system, kappa, pair, parse_spec,
+                            positive_roots, rho, two_rho)
 
 
 # ---------------------------------------------------------------- oracle
@@ -189,6 +192,99 @@ def test_string_closure_downward(spec):
                 if tuple(down) in have:
                     hits += 1
         assert hits >= 1, r
+
+
+def _closure_oracle(rs, subset=None):
+    """The positive roots of <subset> as simple-root coefficient tuples,
+    closed over the whole subset at once in the full rank, sorted by
+    (height, coefficients)."""
+    I = range(rs.rank) if subset is None else sorted(set(subset))
+    C = rs.cartan
+    layer = [tuple(1 if j == i else 0 for j in range(rs.rank)) for i in I]
+    known = set(layer)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in I:
+                down = list(beta)
+                p = 0
+                while True:
+                    down[i] -= 1
+                    if tuple(down) in known:
+                        p += 1
+                    else:
+                        break
+                if p - sum(C[i][j] * beta[j] for j in range(rs.rank)) > 0:
+                    up = list(beta)
+                    up[i] += 1
+                    if tuple(up) not in known:
+                        known.add(tuple(up))
+                        nxt.append(tuple(up))
+        layer = nxt
+    return sorted(known, key=lambda t: (sum(t), t))
+
+
+_SPECS = ["A1", "A5", "B4", "C5", "D4", "D7", "E6", "E7", "E8", "F4", "G2",
+          "A3xB2", "G2xF4xA4", "D5xE6", "A6+T2", "C3xA1xA1+T1"]
+
+
+@st.composite
+def spec_and_subset(draw):
+    rs = build_root_system(draw(st.sampled_from(_SPECS)))
+    return rs, draw(st.lists(st.sampled_from(range(rs.rank)), unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_and_subset())
+def test_positive_roots_match_whole_subset_closure(case):
+    rs, subset = case
+    roots = positive_roots(rs, subset)
+    assert [r.simple_coeffs for r in roots] == _closure_oracle(rs, subset)
+    for r in roots:
+        expected = [sum(rs.cartan[k][j] * r.simple_coeffs[j] for j in range(rs.rank))
+                    for k in range(rs.rank)]
+        assert list(r.as_weight.fund) == expected
+        assert r.as_weight.central == (0,) * rs.central_rank
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_positive_roots_of_full_system_match_closure(spec):
+    rs = build_root_system(spec)
+    assert [r.simple_coeffs for r in positive_roots(rs)] == _closure_oracle(rs)
+
+
+def _root_sum(rs, subset) -> Weight:
+    total = rs.zero_weight()
+    for r in positive_roots(rs, subset):
+        total = total + r.as_weight
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_and_subset())
+def test_kappa_is_difference_of_root_sums(case):
+    rs, sp = case
+    assert two_rho(rs, sp) == _root_sum(rs, sp)
+    assert kappa(rs, sp) == _root_sum(rs, None) - _root_sum(rs, sp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 64])
+def test_two_rho_of_a_n_is_bourbaki_closed_form(n):
+    """Bourbaki, Plate I: 2 rho of A_n has coefficient j(n + 1 - j) on
+    the j-th simple root."""
+    rs = build_root_system(f"A{n}")
+    c = _two_rho_coeffs(rs, list(range(n)))
+    assert [c[j - 1] for j in range(1, n + 1)] == [j * (n + 1 - j) for j in range(1, n + 1)]
+    if n <= 20:
+        summed = [sum(r.simple_coeffs[j] for r in positive_roots(rs)) for j in range(n)]
+        assert summed == [j * (n + 1 - j) for j in range(1, n + 1)]
+
+
+def test_subset_indices_are_checked():
+    rs = build_root_system("A3")
+    for fn in (positive_roots, two_rho, kappa):
+        with pytest.raises(ValueError, match="out of range"):
+            fn(rs, [3])
 
 
 def test_root_weight_is_cartan_transform():
