@@ -30,8 +30,8 @@ decided exactly by its determinant (x^2 = -det(x) * id for traceless x).
 
 An element of the algebra is one flat tuple of Fractions: the entries of
 each block row by row, the blocks in order.  That is the vector linalg
-reads, so the bases and triples of a presentation go into in_span, rank
-and intersect as they are, and tr(xy) is x . _transposed(blocks, y).
+reads, so the bases and triples of a presentation go into an Echelon,
+rank and intersect as they are, and tr(xy) is x . _transposed(blocks, y).
 2x2 Matrix row tuples remain for sl2 images and witnesses.
 """
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .datum import ColorRecord, SphericalDatum, rational_from_json, rational_to_json
@@ -49,6 +49,10 @@ from .rootsys import RootSystem, pair, positive_roots
 
 Matrix = tuple  # tuple of row tuples of Fraction
 Element = tuple  # flat tuple of Fraction: block entries row by row, blocks in order
+
+# sum of n^2 over the blocks: room for a product of two brion_5_1
+# presentations at the largest catalog n (each needs 2 * 10^2)
+MAX_BLOCK_DIM = 400
 
 
 def _mat(rows) -> Matrix:
@@ -119,6 +123,11 @@ class LiePresentation:
     triples: tuple[tuple[Element, Element, Element], ...]
     witnesses: tuple[tuple[str, int, Matrix], ...] = ()
 
+    @cached_property
+    def b_echelon(self) -> linalg.Echelon:
+        """span(b) reduced once, for the membership checks."""
+        return linalg.Echelon(self.b_basis)
+
     def witness_for(self, color_name: str, alpha: int) -> Matrix | None:
         for cn, a, w in self.witnesses:
             if cn == color_name and a == alpha:
@@ -127,14 +136,22 @@ class LiePresentation:
 
 
 def make_presentation(rs, blocks, h_basis, b_basis, triples, witnesses=()) -> LiePresentation:
-    """Construct and structurally check a presentation: element lengths,
-    per-block tracelessness, and the sl2 bracket relations of every
-    triple, which must be nonzero.  The costlier span checks live in
-    validate_presentation."""
+    """Construct and structurally check a presentation: the size caps,
+    element lengths, per-block tracelessness, and the sl2 bracket
+    relations of every triple, which must be nonzero.  The costlier span
+    checks live in validate_presentation."""
     blocks = tuple(int(n) for n in blocks)
+    h_basis, b_basis = tuple(h_basis), tuple(b_basis)
     if len(triples) != rs.rank:
         raise ValueError(f"expected {rs.rank} triples, got {len(triples)}")
     dim = sum(n * n for n in blocks)
+    if dim > MAX_BLOCK_DIM:
+        raise ValueError(f"total block dimension {dim} exceeds cap {MAX_BLOCK_DIM}")
+    top = algebra_dim(blocks)
+    for name, basis in (("h_basis", h_basis), ("b_basis", b_basis)):
+        if len(basis) > top:
+            raise ValueError(f"{name} has {len(basis)} elements, more than the "
+                             f"algebra dimension {top}")
 
     def check(x: Element, what: str) -> Element:
         if len(x) != dim:
@@ -171,21 +188,30 @@ def make_presentation(rs, blocks, h_basis, b_basis, triples, witnesses=()) -> Li
         if det not in (1, -1):
             raise ValueError(f"witness for ({cn}, {rs.root_name(a)}): det {det} not +-1")
         wit.append((cn, int(a), m))
-    return LiePresentation(rs, blocks, h_basis, tuple(b_basis), tuple(fixed), tuple(wit))
+    return LiePresentation(rs, blocks, h_basis, b_basis, tuple(fixed), tuple(wit))
+
+
+def _independent(ech: linalg.Echelon, name: str) -> linalg.Echelon:
+    if ech.dependent:
+        raise ValueError(f"{name} is linearly dependent: element {ech.dependent[0]} "
+                         "lies in the span of the elements before it")
+    return ech
 
 
 def validate_presentation(pres: LiePresentation) -> None:
-    """Full span checks: h closed under bracket, and every e_alpha and
-    h_alpha inside span(b)."""
+    """Full span checks: h and b independent, h closed under bracket,
+    and every e_alpha and h_alpha inside span(b).  Each basis is reduced
+    once, and every bracket and triple is tested against its echelon."""
+    h_span = _independent(linalg.Echelon(pres.h_basis), "h_basis")
     for i, x in enumerate(pres.h_basis):
         for j, y in enumerate(pres.h_basis[i:], i):
-            z = bracket(pres.blocks, x, y)
-            if any(z) and not linalg.in_span(pres.h_basis, z):
+            if not h_span.contains(bracket(pres.blocks, x, y)):
                 raise ValueError(f"h_basis not bracket-closed at pair ({i}, {j})")
+    b_span = _independent(pres.b_echelon, "b_basis")
     for i, (e, h, _) in enumerate(pres.triples):
-        if not linalg.in_span(pres.b_basis, e):
+        if not b_span.contains(e):
             raise ValueError(f"e for {pres.rs.root_name(i)} is outside span(b)")
-        if not linalg.in_span(pres.b_basis, h):
+        if not b_span.contains(h):
             raise ValueError(f"h for {pres.rs.root_name(i)} is outside span(b)")
 
 
@@ -271,10 +297,11 @@ def _sl2_coords(covectors, vec) -> Matrix:
 def dphi_project(pres: LiePresentation, alpha: int, x: Element) -> Matrix:
     """Image of x in the alpha-sl2: the 2x2 matrix c_e E + c_h H + c_f F
     with c_e = tr(xf)/tr(ef), c_h = tr(xh)/tr(hh), c_f = tr(xe)/tr(ef).
-    x must lie in p_alpha."""
+    x must lie in p_alpha, which is tested against the echelon of b
+    extended by f_alpha."""
     pres.rs._check_index(alpha)
     covectors = _adapted_basis(pres, alpha)
-    if not linalg.in_span(parabolic_basis(pres, alpha), x):
+    if not linalg.Echelon([pres.triples[alpha][2]], start=pres.b_echelon).contains(x):
         raise ValueError(
             f"element is not in the minimal parabolic of {pres.rs.root_name(alpha)}")
     return _sl2_coords(covectors, x)

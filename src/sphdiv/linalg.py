@@ -1,6 +1,7 @@
 """Exact linear algebra over Fraction, just enough for this package.
 
-Everything works on tuples of Fractions; no floats anywhere.
+Vectors are tuples of Fractions, and an Echelon keeps its rows as
+sparse dicts of Fractions; no floats anywhere.
 """
 from __future__ import annotations
 
@@ -44,6 +45,53 @@ def rref(rows):
 
 def rank(rows) -> int:
     return len(rref(rows)[1])
+
+
+class Echelon:
+    """A span reduced once, for testing many vectors against it.
+
+    Row k is a sparse dict {column: value} with 1 at its pivot column
+    pivots[k] and 0 at the pivots of the rows before it, so one pass over
+    the rows in order reduces a vector to its residue, which is zero
+    exactly when the vector lies in the span.  Rows are never changed
+    once added, so an echelon started from another shares its rows.
+    `dependent` lists the indices of the given vectors that lay in the
+    span of the ones before them (and of `start`).  rref, rank and
+    in_span are the oracles it is tested against.
+    """
+
+    def __init__(self, vectors=(), start: Echelon | None = None):
+        self.pivots: list[int] = [] if start is None else list(start.pivots)
+        self.rows: list[dict] = [] if start is None else list(start.rows)
+        self.dependent = [i for i, v in enumerate(vectors) if not self.add(v)]
+
+    def _residue(self, v) -> dict:
+        """The nonzero entries of v after reduction by every row."""
+        r = {j: x for j, x in enumerate(v) if x}
+        for p, row in zip(self.pivots, self.rows):
+            c = r.get(p)
+            if c:
+                for j, x in row.items():
+                    y = r.get(j, 0) - c * x
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]
+        return r
+
+    def contains(self, v) -> bool:
+        return not self._residue(v)
+
+    def add(self, v) -> bool:
+        """Extend the span by v; False, with nothing added, when v is in it."""
+        r = self._residue(v)
+        if not r:
+            return False
+        p = min(r)
+        pv = Fraction(r[p])
+        self.pivots.append(p)
+        self.rows.append({j: x / pv for j, x in r.items()})
+        return True
 
 
 def span_basis(vectors):

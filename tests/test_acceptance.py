@@ -1,7 +1,8 @@
 """Acceptance suite: eight end-to-end criteria, one test (and one
 pass/fail line under pytest -v) per criterion.  Timing pins: criterion 1
-must finish under 1 second, criterion 6 under 5 seconds, and kappa of
-A64 with a Levi of rank 62 under 0.25 seconds."""
+must finish under 1 second, criterion 6 under 5 seconds, kappa of A64
+with a Levi of rank 62 under 0.25 seconds, and validate_presentation on
+brion_5_1 at n = 7 under 1 second."""
 import random
 import time
 from fractions import Fraction
@@ -12,7 +13,8 @@ from sphdiv.anticanon import (anticanonical_divisor, color_coefficient,
                               kappa, uniqueness_certificate, valuation_cone,
                               verify_decomposition)
 from sphdiv.catalog import builtin
-from sphdiv.knoplie import classify_knop, image_for_root, resolve_torus_like
+from sphdiv.knoplie import (classify_knop, image_for_root, resolve_torus_like,
+                             validate_presentation)
 from sphdiv.lunatypes import audit_pairings, classify_luna
 from sphdiv.report import all_passed
 from sphdiv.rootsys import (Coweight, build_root_system, pair, parse_spec,
@@ -182,6 +184,15 @@ def test_kappa_of_rank_64_with_large_levi_is_fast():
     assert kap.fund == (64,) + (0,) * 62 + (64,)
     assert elapsed < 0.25, f"kappa(A64, a2..a63) took {elapsed:.3f}s (pinned < 0.25s)"
     _ok("kappa(A64, a2..a63) = 64 (omega_1 + omega_64), under 0.25s")
+
+
+def test_validate_presentation_of_brion_5_1_at_n_7_is_fast():
+    pres = builtin("brion_5_1", 7).presentation
+    t0 = time.perf_counter()
+    validate_presentation(pres)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"validate_presentation(brion_5_1, n=7) took {elapsed:.3f}s (pinned < 1s)"
+    _ok("validate_presentation(brion_5_1, n = 7) accepts, under 1s")
 
 
 def test_criterion_8_order_shifts_and_cone_certificates():

@@ -149,6 +149,48 @@ def test_huge_central_torus_is_a_schema_error(tmp_path, capsys):
     assert err == "schema error: root_system: central rank 20000 exceeds cap 64\n"
 
 
+def _big_block_document(blocks):
+    """sl2_mod_U with a presentation of the given blocks: empty h and b,
+    and the a1 triple in the top-left corner of the first block."""
+    entry = builtin("sl2_mod_U", None)
+    doc = json.loads(dump_document(entry.datum, entry.presentation))
+
+    def elem(*entries):
+        mats = [[0] * (n * n) for n in blocks]
+        for i, v in entries:
+            mats[0][i] = v
+        return mats
+
+    n = blocks[0]
+    doc["presentation"] = {"blocks": blocks, "h_basis": [], "b_basis": [], "triples": {
+        "a1": {"e": elem((1, 1)), "h": elem((0, 1), (n + 1, -1)), "f": elem((n, 1))}}}
+    return doc
+
+
+@pytest.mark.parametrize("blocks,code", [([20], 0), ([20, 1], 2)])
+def test_total_block_dimension_cap(tmp_path, capsys, blocks, code):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(_big_block_document(blocks)), encoding="utf-8")
+    got, out, err = run(capsys, "kappa", str(p))
+    assert got == code
+    if code:
+        assert (out, err) == ("", "schema error: presentation: total block dimension 401 "
+                                  "exceeds cap 400\n")
+
+
+def test_repeated_h_basis_is_capped_by_the_algebra_dimension(tmp_path, capsys):
+    entry = builtin("brion_5_1", 4)
+    doc = json.loads(dump_document(entry.datum, entry.presentation))
+    doc["presentation"]["h_basis"] *= 64
+    p = tmp_path / "repeated.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert p.stat().st_size > 100_000
+    code, out, err = run(capsys, "types", str(p), "--method", "knop")
+    assert (code, out) == (2, "")
+    assert err == ("schema error: presentation: h_basis has 960 elements, more than "
+                   "the algebra dimension 30\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "cone"])
 def test_sigma_in_span_but_not_lattice_is_a_schema_error(tmp_path, capsys, command):
     p = tmp_path / "half.json"

@@ -12,7 +12,7 @@ from sphdiv.datum import ColorRecord, SphericalDatum
 from sphdiv.docio import dump_document
 from sphdiv.errors import (InconsistencyError, InsufficientDataError, SchemaError,
                            UnresolvedTypeError)
-from sphdiv.knoplie import (ImageClass, algebra_dim, bracket, classify_image,
+from sphdiv.knoplie import (MAX_BLOCK_DIM, ImageClass, algebra_dim, bracket, classify_image,
                             classify_knop, dphi_project, element, image_for_root,
                             make_presentation, open_orbit_check, parabolic_basis,
                             presentation_from_json, presentation_to_json,
@@ -226,6 +226,61 @@ def test_validate_presentation_rejects_e_outside_b():
         validate_presentation(pres)
 
 
+def _repeated(pres, name, k):
+    """pres with element k of its h or b basis repeated at the end."""
+    bases = {"h_basis": pres.h_basis, "b_basis": pres.b_basis}
+    bases[name] += (bases[name][k],)
+    return make_presentation(pres.rs, pres.blocks, bases["h_basis"], bases["b_basis"],
+                             pres.triples, pres.witnesses)
+
+
+@pytest.mark.parametrize("name", ["h_basis", "b_basis"])
+def test_validate_presentation_rejects_dependent_basis(name):
+    pres = builtin("brion_5_1", 4).presentation
+    validate_presentation(pres)
+    last = len(getattr(pres, name))
+    with pytest.raises(ValueError) as exc:
+        validate_presentation(_repeated(pres, name, 3))
+    assert str(exc.value) == (f"{name} is linearly dependent: element {last} "
+                              "lies in the span of the elements before it")
+
+
+def _big_block_triple(blocks):
+    """The a1 triple in the top-left 2x2 corner of the first block."""
+    dim, n = sum(k * k for k in blocks), blocks[0]
+
+    def unit(*entries):
+        return tuple(Fraction(dict(entries).get(i, 0)) for i in range(dim))
+
+    return unit((1, 1)), unit((0, 1), (n + 1, -1)), unit((n, 1))
+
+
+def test_make_presentation_caps_total_block_dimension():
+    rs = build_root_system("A1")
+    assert MAX_BLOCK_DIM >= 2 * 10 ** 2 * 2  # two brion_5_1 presentations at n = 10
+    pres = make_presentation(rs, (20,), [], [], [_big_block_triple((20,))])
+    assert sum(n * n for n in pres.blocks) == MAX_BLOCK_DIM
+    with pytest.raises(ValueError) as exc:
+        make_presentation(rs, (20, 1), [], [], [_big_block_triple((20, 1))])
+    assert str(exc.value) == "total block dimension 401 exceeds cap 400"
+
+
+@pytest.mark.parametrize("name", ["h_basis", "b_basis"])
+def test_make_presentation_caps_basis_length(name):
+    pres = builtin("sl2_mod_U", None).presentation
+    bases = {"h_basis": pres.h_basis, "b_basis": pres.b_basis}
+    bases[name] = (bases[name][0],) * 4
+    with pytest.raises(ValueError) as exc:
+        make_presentation(pres.rs, pres.blocks, bases["h_basis"], bases["b_basis"],
+                          pres.triples)
+    assert str(exc.value) == f"{name} has 4 elements, more than the algebra dimension 3"
+    bases[name] = bases[name][:3]  # at the dimension: loads, and validation rejects it
+    pres = make_presentation(pres.rs, pres.blocks, bases["h_basis"], bases["b_basis"],
+                             pres.triples)
+    with pytest.raises(ValueError, match=f"{name} is linearly dependent: element 1 "):
+        validate_presentation(pres)
+
+
 # ---------------------------------------------------------------- open orbit
 
 def test_open_orbit_catalog_entries():
@@ -291,6 +346,33 @@ def test_dphi_rejects_outside_parabolic():
     f2 = pres.triples[1][2]
     with pytest.raises(ValueError, match="not in the minimal parabolic"):
         dphi_project(pres, 0, f2)
+
+
+@st.composite
+def _parabolic_probe(draw):
+    """A catalog presentation, one of its simple roots, and an integer
+    combination of b and f_alpha, moved or not by a multiple of an element
+    of h or of a triple, so that it may leave p_alpha."""
+    key, n = draw(st.sampled_from(_ORACLE_ENTRIES))
+    pres = builtin(key, n).presentation
+    alpha = draw(st.integers(0, pres.rs.rank - 1))
+    pb = parabolic_basis(pres, alpha)
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(pb), max_size=len(pb)))
+    y = draw(st.sampled_from(pres.h_basis + tuple(v for t in pres.triples for v in t)))
+    t = draw(st.integers(-2, 2))
+    return pres, alpha, tuple(sum(c * v for c, v in zip(coeffs, col)) + t * w
+                              for col, w in zip(zip(*pb), y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_parabolic_probe())
+def test_dphi_membership_matches_in_span(case):
+    pres, alpha, x = case
+    if in_span(parabolic_basis(pres, alpha), x):
+        dphi_project(pres, alpha, x)
+    else:
+        with pytest.raises(ValueError, match="not in the minimal parabolic"):
+            dphi_project(pres, alpha, x)
 
 
 def test_dphi_is_linear_on_stabilizer():
@@ -383,6 +465,92 @@ def test_trace_form_projection_matches_adapted_basis_oracle(pres_alpha):
         assert dphi_project(pres, alpha, x) == _oracle_project(pres, alpha, x)
     assert image_for_root(pres, alpha) == \
         classify_image([_oracle_project(pres, alpha, x) for x in stab])
+
+
+def _matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+@st.composite
+def _unimodular(draw, n):
+    """g = L U with L lower and U upper unitriangular and off-diagonal
+    entries in {-1, 0, 1}, and its exact inverse."""
+    def tri(below):
+        off = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n * n, max_size=n * n))
+        return [[1 if i == j else off[i * n + j] if (i > j) == below else 0
+                 for j in range(n)] for i in range(n)]
+
+    g = _matmul(tri(True), tri(False))
+    cols = [solve_columns([tuple(row[j] for row in g) for j in range(n)],
+                          tuple(int(i == k) for i in range(n))) for k in range(n)]
+    return g, [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _conjugate(pres, gs, h_basis=None):
+    """Ad(g) applied blockwise to h (or to the given h basis), b and every
+    triple: a presentation of the same pair.  Witnesses stay as they are."""
+    def conj(x):
+        out, pos = [], 0
+        for n, (g, ginv) in zip(pres.blocks, gs):
+            block = [x[pos + i * n:pos + (i + 1) * n] for i in range(n)]
+            out += (v for row in _matmul(_matmul(g, block), ginv) for v in row)
+            pos += n * n
+        return tuple(out)
+
+    return make_presentation(pres.rs, pres.blocks,
+                             [conj(x) for x in (h_basis or pres.h_basis)],
+                             [conj(x) for x in pres.b_basis],
+                             [tuple(conj(x) for x in t) for t in pres.triples],
+                             pres.witnesses)
+
+
+def _unclosed_h(pres):
+    """h with one element dropped that the bracket of a pair needs, and
+    that pair put first; None when h has no such pair."""
+    h = pres.h_basis
+    for i in range(len(h)):
+        for j in range(i + 1, len(h)):
+            z = bracket(pres.blocks, h[i], h[j])
+            coords = solve_columns(h, z) if any(z) else ()
+            for k, c in enumerate(coords):
+                if c and k not in (i, j):
+                    return [h[i], h[j]] + [x for m, x in enumerate(h) if m not in (i, j, k)]
+    return None
+
+
+def _knop_answer(pres, datum, color):
+    try:
+        return classify_knop(pres, datum, color)
+    except (InconsistencyError, UnresolvedTypeError) as exc:
+        return type(exc)
+
+
+_CONJUGATED_ENTRIES = [("sl2_mod_T", None), ("sl2_mod_N", None), ("sl2_mod_U", None),
+                       ("brion_5_2", None)] + [("brion_5_1", n) for n in range(2, 5)]
+
+
+@st.composite
+def _conjugated_entry(draw):
+    key, n = draw(st.sampled_from(_CONJUGATED_ENTRIES))
+    entry = builtin(key, n)
+    return entry, [draw(_unimodular(k)) for k in entry.presentation.blocks]
+
+
+@settings(max_examples=15, deadline=None)
+@given(_conjugated_entry())
+def test_answers_are_invariant_under_unimodular_conjugation(case):
+    entry, gs = case
+    pres = entry.presentation
+    dense = _conjugate(pres, gs)
+    validate_presentation(dense)
+    assert open_orbit_check(dense) == open_orbit_check(pres)
+    for c in entry.datum.colors:
+        assert _knop_answer(dense, entry.datum, c) == _knop_answer(pres, entry.datum, c)
+    unclosed = _unclosed_h(pres)
+    if unclosed is not None:
+        with pytest.raises(ValueError, match=r"not bracket-closed at pair \(0, 1\)$"):
+            validate_presentation(_conjugate(pres, gs, unclosed))
 
 
 def _known_fault_pres():

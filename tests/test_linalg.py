@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphdiv.linalg import (in_span, intersect, nullspace, rank, rref,
+from sphdiv.linalg import (Echelon, in_span, intersect, nullspace, rank, rref,
                            solve_columns, span_basis)
 
 
@@ -206,3 +206,72 @@ def test_intersect_brute_force_small():
     # w must be a multiple of (1, 2, 3)
     t = w[2] / F(3)
     assert list(w) == [t, 2 * t, 3 * t]
+
+
+# ---------------------------------------------------------------- echelon
+
+@st.composite
+def _span_and_probes(draw):
+    """Integer rows, sparse or dense, with some of them dependent (integer
+    combinations of the rows before) or zero, possibly none at all; and
+    probe vectors, some of them in the span and some drawn freely."""
+    ncols = draw(st.integers(1, 7))
+    entry = draw(st.sampled_from([st.integers(-3, 3),
+                                  st.sampled_from([0] * 6 + [-2, -1, 1, 2])]))
+    vec = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vec, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        combo = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+        rows.insert(draw(st.integers(len(rows) // 2, len(rows))), combo)
+    probes = [[0] * ncols] + draw(st.lists(vec, max_size=4))
+    for _ in range(3):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        probes.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+    return rows, probes
+
+
+@settings(max_examples=100, deadline=None)
+@given(_span_and_probes())
+def test_echelon_matches_rref_rank_and_in_span(case):
+    rows, probes = case
+    ech = Echelon(rows)
+    assert len(ech.rows) == rank(_rows(rows))
+    assert ech.dependent == [i for i in range(len(rows))
+                             if rank(_rows(rows[:i + 1])) == rank(_rows(rows[:i]))]
+    for v in rows + probes:
+        assert ech.contains(v) == in_span(_rows(rows), v)
+    # the same span as the rref rows, so the rref rows are members and rank agrees
+    reduced, pivots = rref(_rows(rows))
+    assert all(ech.contains(r) for r in reduced)
+    assert len(Echelon(reduced[:len(pivots)]).rows) == len(ech.rows)
+    # echelon shape: 1 at the own pivot, 0 at the pivots of earlier rows, exact entries
+    for k, (p, row) in enumerate(zip(ech.pivots, ech.rows)):
+        assert row[p] == 1
+        assert all(q not in row for q in ech.pivots[:k])
+        assert all(type(x) is Fraction and x for x in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_span_and_probes(), st.data())
+def test_echelon_started_from_another_is_their_joint_span(case, data):
+    rows, probes = case
+    cut = data.draw(st.integers(0, len(rows)))
+    base = Echelon(rows[:cut])
+    before = (list(base.pivots), list(base.rows))
+    joint = Echelon(rows[cut:], start=base)
+    assert (base.pivots, base.rows) == before
+    assert len(joint.rows) == rank(_rows(rows))
+    assert joint.dependent == [i - cut for i in Echelon(rows).dependent if i >= cut]
+    for v in probes:
+        assert joint.contains(v) == in_span(_rows(rows), v)
+        assert base.contains(v) == in_span(_rows(rows[:cut]), v)
+
+
+def test_echelon_of_empty_span_holds_only_zero():
+    ech = Echelon()
+    assert ech.rows == [] and ech.dependent == []
+    assert ech.contains([0, 0, 0])
+    assert not ech.contains([0, Fraction(1, 2), 0])
+    assert ech.add([0, Fraction(1, 2), 0]) and not ech.add([0, 3, 0])
+    assert ech.rows == [{1: 1}]
