@@ -124,6 +124,11 @@ class LiePresentation:
     witnesses: tuple[tuple[str, int, Matrix], ...] = ()
 
     @cached_property
+    def h_echelon(self) -> linalg.Echelon:
+        """span(h) reduced once, for the independence and closure checks."""
+        return linalg.Echelon(self.h_basis)
+
+    @cached_property
     def b_echelon(self) -> linalg.Echelon:
         """span(b) reduced once, for the membership checks."""
         return linalg.Echelon(self.b_basis)
@@ -137,9 +142,9 @@ class LiePresentation:
 
 def make_presentation(rs, blocks, h_basis, b_basis, triples, witnesses=()) -> LiePresentation:
     """Construct and structurally check a presentation: the size caps,
-    element lengths, per-block tracelessness, and the sl2 bracket
-    relations of every triple, which must be nonzero.  The costlier span
-    checks live in validate_presentation."""
+    element lengths, per-block tracelessness, the sl2 bracket relations
+    of every triple, which must be nonzero, and independent h and b
+    bases.  The costlier span checks live in validate_presentation."""
     blocks = tuple(int(n) for n in blocks)
     h_basis, b_basis = tuple(h_basis), tuple(b_basis)
     if len(triples) != rs.rank:
@@ -184,34 +189,30 @@ def make_presentation(rs, blocks, h_basis, b_basis, triples, witnesses=()) -> Li
         m = _mat(w)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise ValueError(f"witness for ({cn}, {rs.root_name(a)}): not 2x2")
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        det = _det2(m)
         if det not in (1, -1):
             raise ValueError(f"witness for ({cn}, {rs.root_name(a)}): det {det} not +-1")
         wit.append((cn, int(a), m))
-    return LiePresentation(rs, blocks, h_basis, b_basis, tuple(fixed), tuple(wit))
-
-
-def _independent(ech: linalg.Echelon, name: str) -> linalg.Echelon:
-    if ech.dependent:
-        raise ValueError(f"{name} is linearly dependent: element {ech.dependent[0]} "
-                         "lies in the span of the elements before it")
-    return ech
+    pres = LiePresentation(rs, blocks, h_basis, b_basis, tuple(fixed), tuple(wit))
+    for name, ech in (("h_basis", pres.h_echelon), ("b_basis", pres.b_echelon)):
+        if ech.dependent:
+            raise ValueError(f"{name} is linearly dependent: element {ech.dependent[0]} "
+                             "lies in the span of the elements before it")
+    return pres
 
 
 def validate_presentation(pres: LiePresentation) -> None:
-    """Full span checks: h and b independent, h closed under bracket,
-    and every e_alpha and h_alpha inside span(b).  Each basis is reduced
-    once, and every bracket and triple is tested against its echelon."""
-    h_span = _independent(linalg.Echelon(pres.h_basis), "h_basis")
+    """Full span checks: h closed under bracket, and every e_alpha and
+    h_alpha inside span(b).  Every bracket and triple is tested against
+    the echelon of its basis, reduced once per presentation."""
     for i, x in enumerate(pres.h_basis):
         for j, y in enumerate(pres.h_basis[i:], i):
-            if not h_span.contains(bracket(pres.blocks, x, y)):
+            if not pres.h_echelon.contains(bracket(pres.blocks, x, y)):
                 raise ValueError(f"h_basis not bracket-closed at pair ({i}, {j})")
-    b_span = _independent(pres.b_echelon, "b_basis")
     for i, (e, h, _) in enumerate(pres.triples):
-        if not b_span.contains(e):
+        if not pres.b_echelon.contains(e):
             raise ValueError(f"e for {pres.rs.root_name(i)} is outside span(b)")
-        if not b_span.contains(h):
+        if not pres.b_echelon.contains(h):
             raise ValueError(f"h for {pres.rs.root_name(i)} is outside span(b)")
 
 

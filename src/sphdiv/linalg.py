@@ -1,50 +1,13 @@
 """Exact linear algebra over Fraction, just enough for this package.
 
 Vectors are tuples of Fractions, and an Echelon keeps its rows as
-sparse dicts of Fractions; no floats anywhere.
+sparse dicts of Fractions; no floats anywhere.  Echelon is the one
+elimination: rref, rank and in_span read their answers off it, and
+span_basis, solve_columns, nullspace and intersect read rref.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-Vec = tuple
-
-def fractions(xs) -> Vec:
-    return tuple(Fraction(x) for x in xs)
-
-
-def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m], pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
 
 
 class Echelon:
@@ -56,17 +19,23 @@ class Echelon:
     exactly when the vector lies in the span.  Rows are never changed
     once added, so an echelon started from another shares its rows.
     `dependent` lists the indices of the given vectors that lay in the
-    span of the ones before them (and of `start`).  rref, rank and
-    in_span are the oracles it is tested against.
+    span of the ones before them (and of `start`).  Every vector must
+    have the length of the first one it saw.
     """
 
     def __init__(self, vectors=(), start: Echelon | None = None):
+        self.width: int | None = None if start is None else start.width
         self.pivots: list[int] = [] if start is None else list(start.pivots)
         self.rows: list[dict] = [] if start is None else list(start.rows)
         self.dependent = [i for i, v in enumerate(vectors) if not self.add(v)]
 
     def _residue(self, v) -> dict:
         """The nonzero entries of v after reduction by every row."""
+        if self.width is None:
+            self.width = len(v)
+        elif len(v) != self.width:
+            raise ValueError(f"vector of length {len(v)} against a span of "
+                             f"vectors of length {self.width}")
         r = {j: x for j, x in enumerate(v) if x}
         for p, row in zip(self.pivots, self.rows):
             c = r.get(p)
@@ -94,6 +63,32 @@ class Echelon:
         return True
 
 
+def rref(rows):
+    """Reduced row echelon form. Returns (new_rows, pivot_columns): the
+    pivot rows by ascending pivot, then zero rows up to the input count."""
+    rows = list(rows)
+    if not rows:
+        return [], []
+    ncols, zero = len(rows[0]), Fraction(0)
+
+    def dense(row: dict) -> tuple:
+        return tuple(row.get(j, zero) for j in range(ncols))
+
+    # An echelon row is 1 at its pivot, its first nonzero column, and 0 at
+    # the pivots of the rows before it.  So adding the rows last first
+    # clears each at the pivots of the rows after it and keeps its pivot:
+    # the reduced form.
+    ech = Echelon([dense(row) for row in reversed(Echelon(rows).rows)])
+    order = sorted(range(len(ech.pivots)), key=ech.pivots.__getitem__)
+    out = [dense(ech.rows[k]) for k in order]
+    out += [(zero,) * ncols] * (len(rows) - len(out))
+    return out, [ech.pivots[k] for k in order]
+
+
+def rank(rows) -> int:
+    return len(Echelon(rows).rows)
+
+
 def span_basis(vectors):
     """Canonical basis (rref rows) of the span of the given vectors."""
     red, pivots = rref(vectors)
@@ -101,7 +96,7 @@ def span_basis(vectors):
 
 
 def in_span(vectors, v) -> bool:
-    return solve_columns(vectors, v) is not None
+    return Echelon(vectors).contains(v)
 
 
 def solve_columns(cols, target):
@@ -111,8 +106,7 @@ def solve_columns(cols, target):
     n = len(target)
     if any(len(c) != n for c in cols):
         raise ValueError("column dimension mismatch")
-    aug = [[Fraction(cols[j][r]) for j in range(len(cols))] + [Fraction(target[r])]
-           for r in range(n)]
+    aug = [[c[r] for c in cols] + [target[r]] for r in range(n)]
     red, pivots = rref(aug)
     k = len(cols)
     if k in pivots:

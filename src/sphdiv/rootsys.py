@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
+
 MAX_TOTAL_RANK = 64
 
 _FACTOR_RE = re.compile(r"^([A-G])(\d+)$")
@@ -373,29 +375,10 @@ def positive_roots(rs: RootSystem, subset=None) -> list[Root]:
 
 def _two_rho_coeffs(rs: RootSystem, I: list[int]) -> dict:
     """2 rho of <I> in simple-root coordinates: the solution c of
-    C_I c = (2, ..., 2), by Gaussian elimination in index order over
-    sparse rows and back-substitution.  Every principal minor of a
-    finite-type Cartan matrix is positive, so no pivot is ever zero.
-    Rows of different Dynkin components share no column, so fill-in
-    stays inside a component."""
-    inside = set(I)
-    rows = {i: {j: Fraction(v) for j, v in enumerate(rs.cartan[i]) if v and j in inside}
-            for i in I}
-    rhs = {i: Fraction(2) for i in I}
-    for n, i in enumerate(I):
-        piv = rows[i]
-        for l in I[n + 1:]:
-            f = rows[l].pop(i, 0)
-            if f:
-                f /= piv[i]
-                for j, v in piv.items():
-                    if j != i:
-                        rows[l][j] = rows[l].get(j, 0) - f * v
-                rhs[l] -= f * rhs[i]
-    c = {}
-    for i in reversed(I):
-        c[i] = (rhs[i] - sum(v * c[j] for j, v in rows[i].items() if j != i)) / rows[i][i]
-    return c
+    C_I c = (2, ..., 2), unique since a finite-type Cartan matrix is
+    invertible."""
+    x = linalg.solve_columns([[rs.cartan[i][j] for i in I] for j in I], [2] * len(I))
+    return dict(zip(I, x))
 
 
 def two_rho(rs: RootSystem, subset=None) -> Weight:

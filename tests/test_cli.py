@@ -191,6 +191,20 @@ def test_repeated_h_basis_is_capped_by_the_algebra_dimension(tmp_path, capsys):
                    "the algebra dimension 30\n")
 
 
+def test_doubled_h_basis_is_a_schema_error(tmp_path, capsys):
+    """30 elements, at the length cap, but element 15 repeats element 0."""
+    entry = builtin("brion_5_1", 4)
+    doc = json.loads(dump_document(entry.datum, entry.presentation))
+    doc["presentation"]["h_basis"] *= 2
+    assert len(doc["presentation"]["h_basis"]) == 30
+    p = tmp_path / "doubled.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "types", str(p), "--method", "knop")
+    assert (code, out) == (2, "")
+    assert err == ("schema error: presentation: h_basis is linearly dependent: "
+                   "element 15 lies in the span of the elements before it\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "cone"])
 def test_sigma_in_span_but_not_lattice_is_a_schema_error(tmp_path, capsys, command):
     p = tmp_path / "half.json"

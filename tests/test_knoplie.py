@@ -236,11 +236,12 @@ def _repeated(pres, name, k):
 
 @pytest.mark.parametrize("name", ["h_basis", "b_basis"])
 def test_validate_presentation_rejects_dependent_basis(name):
+    """make_presentation already rejects it, so validation never sees it."""
     pres = builtin("brion_5_1", 4).presentation
     validate_presentation(pres)
     last = len(getattr(pres, name))
     with pytest.raises(ValueError) as exc:
-        validate_presentation(_repeated(pres, name, 3))
+        _repeated(pres, name, 3)
     assert str(exc.value) == (f"{name} is linearly dependent: element {last} "
                               "lies in the span of the elements before it")
 
@@ -274,11 +275,10 @@ def test_make_presentation_caps_basis_length(name):
         make_presentation(pres.rs, pres.blocks, bases["h_basis"], bases["b_basis"],
                           pres.triples)
     assert str(exc.value) == f"{name} has 4 elements, more than the algebra dimension 3"
-    bases[name] = bases[name][:3]  # at the dimension: loads, and validation rejects it
-    pres = make_presentation(pres.rs, pres.blocks, bases["h_basis"], bases["b_basis"],
-                             pres.triples)
+    bases[name] = bases[name][:3]  # at the dimension: within the cap, but dependent
     with pytest.raises(ValueError, match=f"{name} is linearly dependent: element 1 "):
-        validate_presentation(pres)
+        make_presentation(pres.rs, pres.blocks, bases["h_basis"], bases["b_basis"],
+                          pres.triples)
 
 
 # ---------------------------------------------------------------- open orbit

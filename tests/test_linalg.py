@@ -1,18 +1,61 @@
-"""Exact rational linear algebra, cross-checked against brute force and
-random-instance properties."""
-import itertools
+"""Exact rational linear algebra, cross-checked against a dense
+Gauss-Jordan oracle, brute force and random-instance properties."""
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sphdiv import linalg
 from sphdiv.linalg import (Echelon, in_span, intersect, nullspace, rank, rref,
                            solve_columns, span_basis)
 
 
 def F(x):
     return Fraction(x)
+
+
+# ---------------------------------------------------------------- oracle
+
+def dense_rref(rows):
+    """Dense Gauss-Jordan elimination over Fraction, the oracle for the
+    sparse Echelon that linalg reduces with.  Returns (new_rows,
+    pivot_columns) like linalg.rref."""
+    m = [[F(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m], pivots
+
+
+def dense_rank(rows):
+    return len(dense_rref(rows)[1])
+
+
+def dense_in_span(vectors, v):
+    return dense_rank(list(vectors) + [v]) == dense_rank(vectors)
 
 
 def _rows(mat):
@@ -236,13 +279,13 @@ def _span_and_probes(draw):
 def test_echelon_matches_rref_rank_and_in_span(case):
     rows, probes = case
     ech = Echelon(rows)
-    assert len(ech.rows) == rank(_rows(rows))
+    assert len(ech.rows) == dense_rank(rows)
     assert ech.dependent == [i for i in range(len(rows))
-                             if rank(_rows(rows[:i + 1])) == rank(_rows(rows[:i]))]
+                             if dense_rank(rows[:i + 1]) == dense_rank(rows[:i])]
     for v in rows + probes:
-        assert ech.contains(v) == in_span(_rows(rows), v)
+        assert ech.contains(v) == dense_in_span(rows, v)
     # the same span as the rref rows, so the rref rows are members and rank agrees
-    reduced, pivots = rref(_rows(rows))
+    reduced, pivots = dense_rref(rows)
     assert all(ech.contains(r) for r in reduced)
     assert len(Echelon(reduced[:len(pivots)]).rows) == len(ech.rows)
     # echelon shape: 1 at the own pivot, 0 at the pivots of earlier rows, exact entries
@@ -261,11 +304,11 @@ def test_echelon_started_from_another_is_their_joint_span(case, data):
     before = (list(base.pivots), list(base.rows))
     joint = Echelon(rows[cut:], start=base)
     assert (base.pivots, base.rows) == before
-    assert len(joint.rows) == rank(_rows(rows))
+    assert len(joint.rows) == dense_rank(rows)
     assert joint.dependent == [i - cut for i in Echelon(rows).dependent if i >= cut]
     for v in probes:
-        assert joint.contains(v) == in_span(_rows(rows), v)
-        assert base.contains(v) == in_span(_rows(rows[:cut]), v)
+        assert joint.contains(v) == dense_in_span(rows, v)
+        assert base.contains(v) == dense_in_span(rows[:cut], v)
 
 
 def test_echelon_of_empty_span_holds_only_zero():
@@ -275,3 +318,57 @@ def test_echelon_of_empty_span_holds_only_zero():
     assert not ech.contains([0, Fraction(1, 2), 0])
     assert ech.add([0, Fraction(1, 2), 0]) and not ech.add([0, 3, 0])
     assert ech.rows == [{1: 1}]
+
+
+def test_echelon_rejects_a_vector_of_another_length():
+    with pytest.raises(ValueError, match="length 1 against a span of vectors of length 2"):
+        Echelon([(1, 0)]).contains((1,))
+    with pytest.raises(ValueError, match="length 3 against"):
+        Echelon([(1, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="length 2 against"):
+        Echelon([(0, 0, 0)], start=Echelon([(0, 1, 0)])).add((1, 0))
+    for bad in ([(F(1), F(0))], [(F(0), F(0)), (F(1),)]):
+        with pytest.raises(ValueError):
+            in_span(bad, (F(1),))
+    assert in_span([], (F(0),)) and not in_span([], (F(1),))
+
+
+# ---------------------------------------------------------------- kernel vs oracle
+
+@st.composite
+def _matrices(draw):
+    """Integer or Fraction matrices, tall, wide or square, possibly empty,
+    with zero rows and rows that combine the ones drawn before them."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entry = draw(st.sampled_from([
+        st.integers(-4, 4),
+        st.sampled_from([0] * 6 + [-2, -1, 1, 2]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4)]))
+    vec = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vec, min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 2), 2]),
+                               min_size=len(rows), max_size=len(rows)))
+        combo = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))),
+                    combo if draw(st.booleans()) else [0] * ncols)
+    return rows, draw(st.lists(vec, min_size=1, max_size=3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_matrices())
+def test_kernel_matches_dense_oracle(case):
+    rows, probes = case
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == dense_rref(rows)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert rank(rows) == dense_rank(rows)
+    ncols = len(probes[0])
+    probes += [[0] * ncols] + [[sum(r[j] for r in rows[k::2]) for j in range(ncols)]
+                               for k in (0, 1)]
+    for v in probes:
+        assert in_span(rows, v) == dense_in_span(rows, v)
+    # solve_columns and nullspace read rref: against it, and with the oracle read instead
+    got = [solve_columns(rows, v) for v in probes], nullspace(rows)
+    with mock.patch.object(linalg, "rref", dense_rref):
+        assert got == ([solve_columns(rows, v) for v in probes], nullspace(rows))
