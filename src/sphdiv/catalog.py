@@ -82,14 +82,9 @@ def _sl_mats(n):
     return mats
 
 
-def _lower_mats(n):
+def _borel_mats(n, lower):
     return [_diag_h(n, i) for i in range(n - 1)] + \
-           [_eij(n, i, j) for i in range(n) for j in range(n) if i > j]
-
-
-def _upper_mats(n):
-    return [_diag_h(n, i) for i in range(n - 1)] + \
-           [_eij(n, i, j) for i in range(n) for j in range(n) if i < j]
+           [_eij(n, i, j) for i in range(n) for j in range(n) if (i > j if lower else i < j)]
 
 
 def _neg(m):
@@ -199,8 +194,8 @@ def _brion_5_1_presentation(rs, n):
     blocks = (n, n)
     zero = [[0] * n for _ in range(n)]
     h_basis = [element(blocks, [m, m]) for m in _sl_mats(n)]
-    b_basis = [element(blocks, [m, zero]) for m in _lower_mats(n)] + \
-              [element(blocks, [zero, m]) for m in _upper_mats(n)]
+    b_basis = [element(blocks, [m, zero]) for m in _borel_mats(n, True)] + \
+              [element(blocks, [zero, m]) for m in _borel_mats(n, False)]
     triples = []
     for i in range(r):  # first factor, lower Borel
         triples.append((element(blocks, [_eij(n, i + 1, i), zero]),

@@ -30,8 +30,8 @@ decided exactly by its determinant (x^2 = -det(x) * id for traceless x).
 
 An element of the algebra is one flat tuple of Fractions: the entries of
 each block row by row, the blocks in order.  That is the vector linalg
-reads, so the bases and triples of a presentation go into an Echelon,
-rank and intersect as they are, and tr(xy) is x . _transposed(blocks, y).
+reads, so the bases and triples of a presentation go into an Echelon as
+they are, and tr(xy) is x . _transposed(blocks, y).
 2x2 Matrix row tuples remain for sl2 images and witnesses.
 """
 from __future__ import annotations
@@ -123,6 +123,15 @@ class LiePresentation:
     triples: tuple[tuple[Element, Element, Element], ...]
     witnesses: tuple[tuple[str, int, Matrix], ...] = ()
 
+    def __hash__(self) -> int:
+        """The fields' hash, computed once, not per call of an lru_cache."""
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rs, self.blocks, self.h_basis, self.b_basis, self.triples,
+                     self.witnesses))
+
     @cached_property
     def h_echelon(self) -> linalg.Echelon:
         """span(h) reduced once, for the independence and closure checks."""
@@ -132,6 +141,14 @@ class LiePresentation:
     def b_echelon(self) -> linalg.Echelon:
         """span(b) reduced once, for the membership checks."""
         return linalg.Echelon(self.b_basis)
+
+    @cached_property
+    def h_residues(self) -> tuple[Element, ...]:
+        """Each h element reduced against the echelon of b, once for the
+        open-orbit check and for the stabilizer at every root."""
+        zero, n = Fraction(0), sum(k * k for k in self.blocks)
+        return tuple(tuple(r.get(j, zero) for j in range(n))
+                     for r in map(self.b_echelon.reduce, self.h_basis))
 
     def witness_for(self, color_name: str, alpha: int) -> Matrix | None:
         for cn, a, w in self.witnesses:
@@ -220,7 +237,7 @@ def validate_presentation(pres: LiePresentation) -> None:
 def open_orbit_check(pres: LiePresentation) -> bool:
     """Does span(b, h) fill the whole algebra?  (The basepoint lies in
     the open B-orbit exactly when this holds.)"""
-    return linalg.rank(pres.b_basis + pres.h_basis) == algebra_dim(pres.blocks)
+    return len(pres.b_echelon.rows) + linalg.rank(pres.h_residues) == algebra_dim(pres.blocks)
 
 
 def parabolic_basis(pres: LiePresentation, alpha: int) -> list[Element]:
@@ -230,8 +247,23 @@ def parabolic_basis(pres: LiePresentation, alpha: int) -> list[Element]:
 
 
 def stabilizer_in_parabolic(pres: LiePresentation, alpha: int) -> list[Element]:
-    """Basis of h intersected with the minimal parabolic p_alpha."""
-    return linalg.intersect(pres.h_basis, parabolic_basis(pres, alpha))
+    """Basis of h & p_alpha, the kernel of h -> g/p_alpha, as linalg.span_basis
+    gives it: the combinations of h whose residues against b and f_alpha
+    cancel (all of h when no residue is left), mapped back through h."""
+    pres.rs._check_index(alpha)
+    parabolic = linalg.Echelon([pres.triples[alpha][2]], start=pres.b_echelon)
+    residues = [parabolic.reduce(r) for r in pres.h_residues]
+    rows = [tuple(r.get(j, 0) for r in residues) for j in sorted(set().union(*residues))]
+    entries = [[(i, v) for i, v in enumerate(x) if v] for x in pres.h_basis]
+    vecs = []
+    for combo in linalg.nullspace(rows or [(0,) * len(residues)]):
+        w = [Fraction(0)] * len(pres.h_basis[0])
+        for c, xs in zip(combo, entries):
+            if c:
+                for i, v in xs:
+                    w[i] += c * v
+        vecs.append(tuple(w))
+    return linalg.span_basis(vecs)
 
 
 @lru_cache(maxsize=64)

@@ -2,8 +2,8 @@
 
 Vectors are tuples of Fractions, and an Echelon keeps its rows as
 sparse dicts of Fractions; no floats anywhere.  Echelon is the one
-elimination: rref, rank and in_span read their answers off it, and
-span_basis, solve_columns, nullspace and intersect read rref.
+elimination: rref, rank, in_span and solve_columns read their answers
+off it, and span_basis and nullspace read rref.
 """
 from __future__ import annotations
 
@@ -29,8 +29,9 @@ class Echelon:
         self.rows: list[dict] = [] if start is None else list(start.rows)
         self.dependent = [i for i, v in enumerate(vectors) if not self.add(v)]
 
-    def _residue(self, v) -> dict:
-        """The nonzero entries of v after reduction by every row."""
+    def reduce(self, v) -> dict:
+        """The nonzero entries of v after reduction by every row: linear
+        in v, and empty exactly when v lies in the span."""
         if self.width is None:
             self.width = len(v)
         elif len(v) != self.width:
@@ -49,11 +50,11 @@ class Echelon:
         return r
 
     def contains(self, v) -> bool:
-        return not self._residue(v)
+        return not self.reduce(v)
 
     def add(self, v) -> bool:
         """Extend the span by v; False, with nothing added, when v is in it."""
-        r = self._residue(v)
+        r = self.reduce(v)
         if not r:
             return False
         p = min(r)
@@ -92,7 +93,7 @@ def rank(rows) -> int:
 def span_basis(vectors):
     """Canonical basis (rref rows) of the span of the given vectors."""
     red, pivots = rref(vectors)
-    return [red[i] for i in range(len(pivots))]
+    return red[:len(pivots)]
 
 
 def in_span(vectors, v) -> bool:
@@ -100,20 +101,18 @@ def in_span(vectors, v) -> bool:
 
 
 def solve_columns(cols, target):
-    """One exact solution x of sum_j x_j cols[j] = target, or None."""
-    cols = [tuple(c) for c in cols]
-    target = tuple(target)
-    n = len(target)
+    """One exact solution x of sum_j x_j cols[j] = target, or None.  The free
+    variables are 0, so the echelon rows, last first, give the pivot ones."""
+    cols, target = [tuple(c) for c in cols], tuple(target)
+    n, k = len(target), len(cols)
     if any(len(c) != n for c in cols):
         raise ValueError("column dimension mismatch")
-    aug = [[c[r] for c in cols] + [target[r]] for r in range(n)]
-    red, pivots = rref(aug)
-    k = len(cols)
-    if k in pivots:
+    ech = Echelon([[c[r] for c in cols] + [target[r]] for r in range(n)])
+    if k in ech.pivots:
         return None
     x = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        x[c] = red[i][k]
+    for p, row in zip(reversed(ech.pivots), reversed(ech.rows)):
+        x[p] = row.get(k, 0) - sum((v * x[j] for j, v in row.items() if p < j < k), Fraction(0))
     return x
 
 
@@ -133,29 +132,3 @@ def nullspace(rows):
             v[pc] = -red[i][fc]
         basis.append(tuple(v))
     return basis
-
-
-def intersect(us, vs):
-    """Basis of span(us) & span(vs).
-
-    Solves U a = V b by taking the nullspace of [U | -V] read columnwise,
-    then maps the a-part back through U.
-    """
-    us = [tuple(u) for u in us]
-    vs = [tuple(v) for v in vs]
-    if not us or not vs:
-        return []
-    dim = len(us[0])
-    rows = []
-    for r in range(dim):
-        rows.append(tuple([u[r] for u in us] + [-v[r] for v in vs]))
-    combos = nullspace(rows)
-    vecs = []
-    for n in combos:
-        w = [Fraction(0)] * dim
-        for j, u in enumerate(us):
-            if n[j]:
-                for r in range(dim):
-                    w[r] += n[j] * u[r]
-        vecs.append(tuple(w))
-    return span_basis([v for v in vecs if any(v)])

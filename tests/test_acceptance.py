@@ -1,8 +1,9 @@
 """Acceptance suite: eight end-to-end criteria, one test (and one
 pass/fail line under pytest -v) per criterion.  Timing pins: criterion 1
 must finish under 1 second, criterion 6 under 5 seconds, kappa of A64
-with a Levi of rank 62 under 0.25 seconds, and validate_presentation on
-brion_5_1 at n = 7 under 1 second."""
+with a Levi of rank 62 under 0.25 seconds, validate_presentation on
+brion_5_1 at n = 7 under 1 second, and classify_knop on every color of
+brion_5_1 at n = 10 under 1 second."""
 import random
 import time
 from fractions import Fraction
@@ -193,6 +194,17 @@ def test_validate_presentation_of_brion_5_1_at_n_7_is_fast():
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"validate_presentation(brion_5_1, n=7) took {elapsed:.3f}s (pinned < 1s)"
     _ok("validate_presentation(brion_5_1, n = 7) accepts, under 1s")
+
+
+def test_classify_knop_on_every_color_of_brion_5_1_at_n_10_is_fast():
+    entry = builtin("brion_5_1", 10)
+    pres, datum = entry.presentation, entry.datum
+    t0 = time.perf_counter()
+    types = [classify_knop(pres, datum, c).value for c in datum.colors]
+    elapsed = time.perf_counter() - t0
+    assert types == ["b"] * 9
+    assert elapsed < 1.0, f"classify_knop(brion_5_1, n=10) took {elapsed:.3f}s (pinned < 1s)"
+    _ok("classify_knop on the 9 colors of brion_5_1 at n = 10 gives b, under 1s")
 
 
 def test_criterion_8_order_shifts_and_cone_certificates():

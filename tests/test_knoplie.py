@@ -18,9 +18,10 @@ from sphdiv.knoplie import (MAX_BLOCK_DIM, ImageClass, algebra_dim, bracket, cla
                             presentation_from_json, presentation_to_json,
                             resolve_torus_like, stabilizer_in_parabolic,
                             validate_presentation, _positive_root_vectors)
-from sphdiv.linalg import in_span, nullspace, solve_columns
+from sphdiv.linalg import in_span, nullspace, rank, solve_columns
 from sphdiv.lunatypes import ColorType, classify_luna
 from sphdiv.rootsys import Weight, build_root_system, positive_roots
+from test_linalg import intersect
 
 E = [[0, 1], [0, 0]]
 H = [[1, 0], [0, -1]]
@@ -590,6 +591,45 @@ def test_known_fault_document_types_by_knop(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["types"] == {"D1": "b"}
 
 
+# ---------------------------------------------------------------- kernel vs oracles
+
+def _assert_kernel_matches_oracles(pres):
+    """The stabilizer at every root is the intersection oracle's basis,
+    list for list, and the open-orbit check is the rank of b + h."""
+    for alpha in range(pres.rs.rank):
+        assert stabilizer_in_parabolic(pres, alpha) == \
+            intersect(pres.h_basis, list(pres.b_basis) + [pres.triples[alpha][2]])
+    assert open_orbit_check(pres) == \
+        (rank(pres.b_basis + pres.h_basis) == algebra_dim(pres.blocks))
+
+
+@pytest.mark.parametrize("key,n", _ORACLE_ENTRIES)
+def test_stabilizer_kernel_matches_intersection_on_catalog(key, n):
+    _assert_kernel_matches_oracles(builtin(key, n).presentation)
+
+
+def _sl2_with_h(h_mats):
+    blocks = (2,)
+    e, h, f = (element(blocks, [m]) for m in (E_LO, H_LO, F_LO))
+    return make_presentation(build_root_system("A1"), blocks,
+                             [element(blocks, [m]) for m in h_mats], [h, e], [(e, h, f)])
+
+
+@pytest.mark.parametrize("pres", [
+    _known_fault_pres, lambda: _triple_diag_pres(IDENTITY3), lambda: _triple_diag_pres(TWISTED3),
+    lambda: _sl2_with_h([]), lambda: _sl2_with_h([H_LO]), lambda: _sl2_with_h([E_LO, H_LO, F_LO]),
+], ids=["known-fault", "untwisted-diagonal", "twisted-diagonal", "h-zero", "h-inside-b", "h-all"])
+def test_stabilizer_kernel_matches_intersection_on_hand_built(pres):
+    _assert_kernel_matches_oracles(pres())
+
+
+@settings(max_examples=15, deadline=None)
+@given(_conjugated_entry())
+def test_stabilizer_kernel_matches_intersection_under_conjugation(case):
+    entry, gs = case
+    _assert_kernel_matches_oracles(_conjugate(entry.presentation, gs))
+
+
 def test_classify_knop_reports_degenerate_triples():
     # identical A2 triples on one sl2; h = span{f} makes the basepoint
     # generic, so the degenerate triples are what classify_knop meets
@@ -865,6 +905,14 @@ def test_presentation_json_round_trip(key, n):
     again = presentation_from_json(doc, pres.rs)
     assert again == pres
     assert presentation_to_json(again) == doc
+    # the rebuilt presentation hashes as the fields do, so every cache keyed
+    # by a presentation answers it
+    assert hash(again) == hash(pres) == hash((pres.rs, pres.blocks, pres.h_basis,
+                                              pres.b_basis, pres.triples, pres.witnesses))
+    assert open_orbit_check(pres)
+    before = open_orbit_check.cache_info().hits
+    assert open_orbit_check(again)
+    assert open_orbit_check.cache_info().hits == before + 1
 
 
 def _upres_doc():

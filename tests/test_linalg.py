@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphdiv import linalg
-from sphdiv.linalg import (Echelon, in_span, intersect, nullspace, rank, rref,
-                           solve_columns, span_basis)
+from sphdiv.linalg import (Echelon, in_span, nullspace, rank, rref, solve_columns,
+                           span_basis)
 
 
 def F(x):
@@ -48,6 +48,36 @@ def dense_rref(rows):
         if r == len(m):
             break
     return [tuple(row) for row in m], pivots
+
+
+def dense_solve_columns(cols, target):
+    """One solution of sum_j x_j cols[j] = target with the free variables
+    0, read off the dense reduced form of the augmented matrix; or None.
+    The oracle for linalg.solve_columns."""
+    cols = [tuple(c) for c in cols]
+    n, k = len(target), len(cols)
+    red, pivots = dense_rref([[c[r] for c in cols] + [target[r]] for r in range(n)])
+    if k in pivots:
+        return None
+    x = [F(0)] * k
+    for i, c in enumerate(pivots):
+        x[c] = red[i][k]
+    return x
+
+
+def intersect(us, vs):
+    """Basis of span(us) & span(vs) in the canonical form of span_basis:
+    the nullspace of [U | -V] read columnwise, its U-part mapped back
+    through U.  The oracle for knoplie.stabilizer_in_parabolic."""
+    us = [tuple(u) for u in us]
+    vs = [tuple(v) for v in vs]
+    if not us or not vs:
+        return []
+    dim = len(us[0])
+    rows = [tuple([u[r] for u in us] + [-v[r] for v in vs]) for r in range(dim)]
+    vecs = [tuple(sum(c * u[r] for c, u in zip(combo, us)) for r in range(dim))
+            for combo in nullspace(rows)]
+    return span_basis([v for v in vecs if any(v)])
 
 
 def dense_rank(rows):
@@ -368,7 +398,12 @@ def test_kernel_matches_dense_oracle(case):
                                for k in (0, 1)]
     for v in probes:
         assert in_span(rows, v) == dense_in_span(rows, v)
-    # solve_columns and nullspace read rref: against it, and with the oracle read instead
-    got = [solve_columns(rows, v) for v in probes], nullspace(rows)
+    # solve_columns reads an echelon: against the dense oracle, entry types included
+    for v in probes:
+        got = solve_columns(rows, v)
+        assert got == dense_solve_columns(rows, v)
+        assert got is None or all(type(x) is Fraction for x in got)
+    # nullspace reads rref: against it, and with the oracle read instead
+    got = nullspace(rows)
     with mock.patch.object(linalg, "rref", dense_rref):
-        assert got == ([solve_columns(rows, v) for v in probes], nullspace(rows))
+        assert got == nullspace(rows)
