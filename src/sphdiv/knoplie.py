@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from . import linalg
 from .datum import ColorRecord, SphericalDatum, rational_from_json, rational_to_json
@@ -60,20 +61,9 @@ def _mat(rows) -> Matrix:
 
 
 def _mmul(a: Matrix, b: Matrix) -> Matrix:
-    """Row-sparse product: each nonzero a[i][k] meets only the nonzero
-    entries of row k of b.  Presentation blocks are mostly E_ij and
-    diagonal matrices, so almost every term of the dense sum is zero."""
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    zero = Fraction(0)
-    out = []
-    for row in a:
-        acc = [zero] * len(row)
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_rows[k]:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
+    """The product of two matrices of Fractions (the 2x2 sl2 images,
+    witnesses and catalog conjugations)."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def _offsets(blocks):
@@ -84,10 +74,14 @@ def _offsets(blocks):
         pos += n * n
 
 
-def _block_rows(blocks, x: Element):
-    """The rows of each block of x."""
-    for pos, n in _offsets(blocks):
-        yield [x[pos + i * n:pos + (i + 1) * n] for i in range(n)]
+def _row_entries(x: Element, pos: int, n: int):
+    """The (column, value) pairs of the nonzero entries of each row of the
+    n x n block of x at pos."""
+    rows = [[] for _ in range(n)]
+    for p in compress(range(n * n), x[pos:pos + n * n]):
+        i, j = divmod(p, n)
+        rows[i].append((j, x[pos + p]))
+    return rows
 
 
 def element(blocks, mats) -> Element:
@@ -103,9 +97,28 @@ def element(blocks, mats) -> Element:
 
 
 def bracket(blocks, x: Element, y: Element) -> Element:
+    """[x, y] = xy - yx, block by block, in one pass over the nonzero
+    entries of each row of x and of y.  A presentation element has a few
+    nonzero entries out of n^2, so almost every term of a dense product
+    is zero."""
+    dim = sum(n * n for n in blocks)
+    for v in (x, y):
+        if len(v) != dim:
+            raise ValueError(f"bracket: expected {dim} entries, got {len(v)}")
+    zero = Fraction(0)
     out = []
-    for a, b in zip(_block_rows(blocks, x), _block_rows(blocks, y)):
-        out += (p - q for ra, rb in zip(_mmul(a, b), _mmul(b, a)) for p, q in zip(ra, rb))
+    for pos, n in _offsets(blocks):
+        xr, yr = _row_entries(x, pos, n), _row_entries(y, pos, n)
+        acc = [zero] * (n * n)
+        for i in range(n):
+            base = i * n
+            for k, a in xr[i]:
+                for j, b in yr[k]:
+                    acc[base + j] += a * b
+            for k, a in yr[i]:
+                for j, b in xr[k]:
+                    acc[base + j] -= a * b
+        out += acc
     return tuple(out)
 
 
@@ -520,7 +533,8 @@ def presentation_from_json(obj, rs: RootSystem) -> LiePresentation:
         raise SchemaError("presentation: expected an object")
     _no_unknown(obj, ("blocks", "h_basis", "b_basis", "triples", "witnesses"), "presentation")
     blocks = obj.get("blocks")
-    if not isinstance(blocks, list) or not all(isinstance(n, int) and n >= 1 for n in blocks):
+    if not isinstance(blocks, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in blocks):
         raise SchemaError("presentation.blocks: expected a list of positive sizes")
 
     def elem(raw, where) -> Element:

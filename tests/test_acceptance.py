@@ -2,8 +2,8 @@
 pass/fail line under pytest -v) per criterion.  Timing pins: criterion 1
 must finish under 1 second, criterion 6 under 5 seconds, kappa of A64
 with a Levi of rank 62 under 0.25 seconds, validate_presentation on
-brion_5_1 at n = 7 under 1 second, and classify_knop on every color of
-brion_5_1 at n = 10 under 1 second."""
+brion_5_1 at n = 7 and at n = 10 under 1 second each, and classify_knop
+on every color of brion_5_1 at n = 10 under 1 second."""
 import random
 import time
 from fractions import Fraction
@@ -194,6 +194,15 @@ def test_validate_presentation_of_brion_5_1_at_n_7_is_fast():
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"validate_presentation(brion_5_1, n=7) took {elapsed:.3f}s (pinned < 1s)"
     _ok("validate_presentation(brion_5_1, n = 7) accepts, under 1s")
+
+
+def test_validate_presentation_of_brion_5_1_at_n_10_is_fast():
+    pres = builtin("brion_5_1", 10).presentation
+    t0 = time.perf_counter()
+    validate_presentation(pres)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"validate_presentation(brion_5_1, n=10) took {elapsed:.3f}s (pinned < 1s)"
+    _ok("validate_presentation(brion_5_1, n = 10) accepts, under 1s")
 
 
 def test_classify_knop_on_every_color_of_brion_5_1_at_n_10_is_fast():

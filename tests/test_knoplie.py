@@ -130,6 +130,13 @@ def test_sparse_bracket_matches_dense_oracle(pair):
     assert all(type(v) is Fraction for v in got)
 
 
+@pytest.mark.parametrize("nx,ny,got", [(5, 4, 5), (8, 7, 7), (9, 8, 9), (0, 8, 0)])
+def test_bracket_rejects_elements_of_the_wrong_length(nx, ny, got):
+    x, y = (tuple(Fraction(i) for i in range(k)) for k in (nx, ny))
+    with pytest.raises(ValueError, match=f"bracket: expected 8 entries, got {got}$"):
+        bracket((2, 2), x, y)
+
+
 def test_element_concatenates_block_rows():
     x = element((2, 1, 2), [E, [[5]], [[1, Fraction(1, 2)], [3, -1]]])
     assert x == (0, 1, 0, 0, 5, 1, Fraction(1, 2), 3, -1)
@@ -925,6 +932,8 @@ def _upres_doc():
                  id="unknown-field"),
     pytest.param(lambda d: {**d, "blocks": [0]},
                  "presentation.blocks: expected a list of positive sizes", id="bad-block-size"),
+    pytest.param(lambda d: {**d, "blocks": [True]},
+                 "presentation.blocks: expected a list of positive sizes", id="bool-block-size"),
     pytest.param(lambda d: {**d, "blocks": "2"},
                  "presentation.blocks: expected a list of positive sizes", id="blocks-not-list"),
     pytest.param(lambda d: {**d, "triples": {}}, "presentation.triples: missing a1",
