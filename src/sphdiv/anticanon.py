@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .datum import SphericalDatum, validate_datum
 from .errors import DatumError, InconsistencyError, InsufficientDataError
-from .lunatypes import ColorType, resolved_types
+from .lunatypes import ColorType
 from .report import Finding, Report, sort_findings, vector_text
 from .rootsys import Coweight, Weight, kappa, pair
 
@@ -25,23 +25,17 @@ ENUM_MAX_COLORS = 8
 ENUM_MAX_BOUND = 12
 
 
-def color_coefficients(datum: SphericalDatum, colors=None, kinds=None,
-                       kap: Weight | None = None) -> tuple[int, ...]:
+def color_coefficients(datum: SphericalDatum, colors=None) -> tuple[int, ...]:
     """The divisor coefficients of `colors` (default: every color, in
     order): 1 for types a/2a, and the common value <alpha^vee, kappa>
-    over the moving roots for type b.  The types and kappa (only when a
-    type-b color needs it) are computed once, or passed down as `kinds`
-    and `kap` by a caller that holds them."""
-    if kinds is None:
-        kinds = resolved_types(datum)
+    over the moving roots for type b.  Every color's type must resolve."""
+    kinds = datum.kinds
     out = []
     for color in datum.colors if colors is None else colors:
         if kinds[color.name] is not ColorType.B:
             out.append(1)
             continue
-        if kap is None:
-            kap = kappa(datum.rs, datum.Sp)
-        values = {alpha: pair(alpha, kap) for alpha in color.moved_by}
+        values = {alpha: pair(alpha, datum.kappa) for alpha in color.moved_by}
         distinct = set(values.values())
         if len(distinct) != 1:
             detail = ", ".join(f"{datum.rs.root_name(a)}->{v}" for a, v in values.items())
@@ -97,8 +91,7 @@ def verify_decomposition(datum: SphericalDatum) -> bool:
     missing = [c.name for c in datum.colors if c.chi is None]
     if missing:
         raise InsufficientDataError(f"colors without chi: {', '.join(missing)}")
-    kap = kappa(datum.rs, datum.Sp)
-    return _chi_sum(datum, color_coefficients(datum, kap=kap)) == kap.fund
+    return _chi_sum(datum, color_coefficients(datum)) == datum.kappa.fund
 
 
 def enumerate_positive_solutions(kap: Weight, chis, bound: int) -> list[tuple[int, ...]]:
@@ -185,54 +178,34 @@ def cone_contains(cone: ValuationCone, v: Coweight) -> bool:
     return all(pair(v, s) <= 0 for s in cone.halfspaces)
 
 
-def _require_cone_data(datum: SphericalDatum):
-    if datum.spherical_roots is None:
-        raise InsufficientDataError("no spherical roots given")
-    if datum.lattice_M is None:
-        raise InsufficientDataError("no lattice M given")
-    mvecs = [mu.coords() for mu in datum.lattice_M]
-    if linalg.rank(mvecs) != len(mvecs):
-        raise InconsistencyError("lattice M basis is dependent")
-    rows = []
-    for i, s in enumerate(datum.spherical_roots):
-        sol = linalg.solve_columns(mvecs, s.coords()) if mvecs else None
-        if sol is None:
-            raise InconsistencyError(f"spherical root {i} lies outside span(M)")
-        rows.append(tuple(sol))
-    return mvecs, rows
-
-
-def _lift_functional(mvecs, x, dim) -> Coweight:
+def _lift_functional(datum: SphericalDatum, x) -> Coweight:
     """A coweight on the full character space restricting to the
     functional mu_j -> x_j on the lattice basis.
 
     The unknown v satisfies sum_r v_r mu_j[r] = x_j, so the columns of
     the system are the coordinate slices (mu_0[r], mu_1[r], ...).
     """
-    if not mvecs:
-        return Coweight((Fraction(0),) * dim)
-    cols = [tuple(mu[r] for mu in mvecs) for r in range(dim)]
-    sol = linalg.solve_columns(cols, tuple(x))
+    if not datum.lattice_M:
+        return Coweight((Fraction(0),) * (datum.rs.rank + datum.rs.central_rank))
+    sol = linalg.solve_columns(list(zip(*(mu.coords() for mu in datum.lattice_M))), tuple(x))
     if sol is None:
         raise InconsistencyError("lattice basis is dependent, cannot lift")
     return Coweight(tuple(sol))
 
 
-def cone_generator_directions(datum: SphericalDatum, cone_data=None) -> list[Coweight]:
+def cone_generator_directions(datum: SphericalDatum) -> list[Coweight]:
     """Spanning generator directions of the valuation cone as coweights:
     the negated dual basis of the spherical roots plus both signs of a
-    basis of the lineality space, all expressed against the M basis.
-    `cone_data` passes down what _require_cone_data already returned."""
-    mvecs, rows = cone_data or _require_cone_data(datum)
-    dim = datum.rs.rank + datum.rs.central_rank
-    m = len(mvecs)
+    basis of the lineality space, all expressed against the M basis."""
+    rows = datum.cone_rows()
+    m = len(datum.lattice_M)
     s = len(rows)
     dirs = []
     if s:
         for kidx in range(s):
             e = [Fraction(0)] * s
             e[kidx] = Fraction(1)
-            d = linalg.solve_columns([tuple(r[j] for r in rows) for j in range(m)], tuple(e))
+            d = linalg.solve_columns(list(zip(*rows)), tuple(e))
             # d has <sigma_i, d> = delta_{i,k}; the ray is its negation
             if d is None:
                 raise InconsistencyError("spherical roots dependent in M coordinates")
@@ -244,23 +217,19 @@ def cone_generator_directions(datum: SphericalDatum, cone_data=None) -> list[Cow
     for l in lin:
         dirs.append(list(l))
         dirs.append([-x for x in l])
-    return [_lift_functional(mvecs, d, dim) for d in dirs]
+    return [_lift_functional(datum, d) for d in dirs]
 
 
-def cone_interior_witness(datum: SphericalDatum, cone_data=None) -> Coweight:
+def cone_interior_witness(datum: SphericalDatum) -> Coweight:
     """A point with <v, sigma> = -1 for every spherical root (strictly
-    interior when there are any; the origin otherwise).  `cone_data`
-    passes down what _require_cone_data already returned."""
-    mvecs, rows = cone_data or _require_cone_data(datum)
-    dim = datum.rs.rank + datum.rs.central_rank
-    m = len(mvecs)
+    interior when there are any; the origin otherwise)."""
+    rows = datum.cone_rows()
     if not rows:
-        return _lift_functional(mvecs, [Fraction(0)] * m, dim)
-    target = [Fraction(-1)] * len(rows)
-    x = linalg.solve_columns([tuple(r[j] for r in rows) for j in range(m)], tuple(target))
+        return _lift_functional(datum, [Fraction(0)] * len(datum.lattice_M))
+    x = linalg.solve_columns(list(zip(*rows)), (Fraction(-1),) * len(rows))
     if x is None:
         raise InconsistencyError("spherical roots dependent in M coordinates")
-    return _lift_functional(mvecs, x, dim)
+    return _lift_functional(datum, x)
 
 
 def uniqueness_certificate(datum: SphericalDatum) -> bool:
@@ -268,10 +237,10 @@ def uniqueness_certificate(datum: SphericalDatum) -> bool:
     i.e. the cone is full-dimensional in Hom(M, Q).  With independent
     spherical roots this always holds: the dual-basis point with every
     pairing -1 is an interior witness."""
-    mvecs, rows = _require_cone_data(datum)
+    rows = datum.cone_rows()
     if rows and linalg.rank(rows) != len(rows):
         raise InconsistencyError("spherical roots dependent: no certificate")
-    witness = cone_interior_witness(datum, (mvecs, rows))
+    witness = cone_interior_witness(datum)
     if not cone_contains(valuation_cone(datum), witness):
         raise InconsistencyError("interior witness fell outside the cone")
     return True
@@ -294,19 +263,15 @@ def verify(datum: SphericalDatum, bound: int) -> Report:
     the decomposition kappa = sum(m_i chi_i), the enumeration check that
     no other coefficient vector in [1, bound] solves it, and the cone's
     uniqueness certificate.  A check that lacks its data is skipped, with
-    the reason; an inconsistency is a failed finding.  The color types
-    and kappa are computed once and passed down."""
-    findings, skipped = [], []
+    the reason; an inconsistency is a failed finding."""
+    findings, skipped = validate_datum(datum), []
     missing_chi = [c.name for c in datum.colors if c.chi is None]
-    kinds, coeffs, error = {}, None, None
-    try:
-        kinds = resolved_types(datum)
-        if not missing_chi:
-            kap = kappa(datum.rs, datum.Sp)
-            coeffs = color_coefficients(datum, kinds=kinds, kap=kap)
-    except (InsufficientDataError, InconsistencyError) as exc:
-        error = exc
-    findings += validate_datum(datum, kinds)
+    coeffs = error = None
+    if not missing_chi:
+        try:
+            coeffs = color_coefficients(datum)
+        except (InsufficientDataError, InconsistencyError) as exc:
+            error = exc
 
     if missing_chi:
         skipped += [f"decomposition (colors without chi: {', '.join(missing_chi)})",
@@ -318,7 +283,7 @@ def verify(datum: SphericalDatum, bound: int) -> Report:
                                 "resolvable coefficients", str(error), False))
         skipped.append("enumeration (coefficients unknown)")
     else:
-        total = _chi_sum(datum, coeffs)
+        kap, total = datum.kappa, _chi_sum(datum, coeffs)
         findings.append(Finding("decomposition", "kappa", vector_text(kap.fund),
                                 vector_text(total), total == kap.fund))
         if len(datum.colors) > ENUM_MAX_COLORS or bound > ENUM_MAX_BOUND:

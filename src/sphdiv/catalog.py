@@ -55,14 +55,6 @@ class CatalogEntry:
         return self.build_presentation()
 
 
-_PARAMETRIC = {"toric", "brion_5_1", "brion_5_3", "brion_5_4"}
-_FIXED = {"sl2_mod_T", "sl2_mod_N", "sl2_mod_U", "brion_5_2"}
-
-
-def catalog_keys() -> list[str]:
-    return sorted(_PARAMETRIC | _FIXED)
-
-
 # --------------------------------------------------------- matrix helpers
 
 def _eij(n, i, j):
@@ -111,18 +103,6 @@ def _sl2_presentation(rs, h_mats, witnesses=()):
 
 
 # --------------------------------------------------------- entries
-
-def _require_param(key, n, low):
-    if n is None:
-        raise ValueError(f"{key} needs a parameter n")
-    if not low <= n <= MAX_PARAM:
-        raise ValueError(f"{key}: parameter {n} outside [{low}, {MAX_PARAM}]")
-
-
-def _no_param(key, n):
-    if n is not None:
-        raise ValueError(f"{key} takes no parameter")
-
 
 def _toric(r):
     rs = build_root_system(f"T{r}")
@@ -279,30 +259,35 @@ def _brion_5_4(n):
     return CatalogEntry("brion_5_4", (("n", n),), datum, None, expected)
 
 
+# key -> (builder, least n), with None for an entry that takes no parameter
+_ENTRIES = {
+    "toric": (_toric, 0),
+    "sl2_mod_T": (_sl2_mod_T, None),
+    "sl2_mod_N": (_sl2_mod_N, None),
+    "sl2_mod_U": (_sl2_mod_U, None),
+    "brion_5_1": (_brion_5_1, 2),
+    "brion_5_2": (_brion_5_2, None),
+    "brion_5_3": (_brion_5_3, 3),
+    "brion_5_4": (_brion_5_4, 3),
+}
+_PARAMETRIC = {key for key, (_, low) in _ENTRIES.items() if low is not None}
+
+
+def catalog_keys() -> list[str]:
+    return sorted(_ENTRIES)
+
+
 def builtin(key: str, n: int | None = None) -> CatalogEntry:
     """Construct a catalog entry; parametric keys need n (or r)."""
-    if key == "toric":
-        _require_param(key, n, 0)
-        return _toric(n)
-    if key == "sl2_mod_T":
-        _no_param(key, n)
-        return _sl2_mod_T()
-    if key == "sl2_mod_N":
-        _no_param(key, n)
-        return _sl2_mod_N()
-    if key == "sl2_mod_U":
-        _no_param(key, n)
-        return _sl2_mod_U()
-    if key == "brion_5_1":
-        _require_param(key, n, 2)
-        return _brion_5_1(n)
-    if key == "brion_5_2":
-        _no_param(key, n)
-        return _brion_5_2()
-    if key == "brion_5_3":
-        _require_param(key, n, 3)
-        return _brion_5_3(n)
-    if key == "brion_5_4":
-        _require_param(key, n, 3)
-        return _brion_5_4(n)
-    raise ValueError(f"unknown catalog key {key!r}")
+    if key not in _ENTRIES:
+        raise ValueError(f"unknown catalog key {key!r}")
+    build, low = _ENTRIES[key]
+    if low is None:
+        if n is not None:
+            raise ValueError(f"{key} takes no parameter")
+        return build()
+    if n is None:
+        raise ValueError(f"{key} needs a parameter n")
+    if not low <= n <= MAX_PARAM:
+        raise ValueError(f"{key}: parameter {n} outside [{low}, {MAX_PARAM}]")
+    return build(n)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .anticanon import (
-    _require_cone_data,
     anticanonical_divisor,
     cone_contains,
     cone_generator_directions,
@@ -29,7 +29,7 @@ from .errors import DatumError, InsufficientDataError, SchemaError
 from .knoplie import classify_knop
 from .lunatypes import classify_luna
 from .report import Report, vector_text
-from .rootsys import Coweight, build_root_system, kappa, pair, parse_spec, positive_roots
+from .rootsys import Coweight, build_root_system, pair, parse_spec, positive_roots
 
 
 class _UsageError(Exception):
@@ -149,7 +149,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_kappa(args) -> int:
     datum, _ = _load_source(args.datum, args.n)
-    kap = kappa(datum.rs, datum.Sp)
+    kap = datum.kappa
     doc = {
         "spec": str(datum.rs.spec),
         "Sp": sorted(datum.rs.root_name(i) for i in datum.Sp),
@@ -237,9 +237,8 @@ def _cmd_cone(args) -> int:
     unavailable = None
     gens = witness = None
     try:
-        data = _require_cone_data(datum)
-        gens = cone_generator_directions(datum, data)
-        witness = cone_interior_witness(datum, data)
+        gens = cone_generator_directions(datum)
+        witness = cone_interior_witness(datum)
         doc["generators"] = [_vec_json(g.coords) for g in gens]
         doc["interior_witness"] = _vec_json(witness.coords)
     except InsufficientDataError as exc:
@@ -368,7 +367,13 @@ def main(argv=None) -> int:
         print("error: catalog dump needs a KEY", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

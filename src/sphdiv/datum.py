@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
-from .errors import DatumError, SchemaError
-from .lunatypes import chi_pairing_findings, classify_luna, resolved_types
+from .errors import DatumError, InconsistencyError, InsufficientDataError, SchemaError
+from .lunatypes import ColorType, chi_pairing_findings, classify_luna, resolved_types
 from .report import Finding, sort_findings
-from .rootsys import Coweight, RootSystem, Weight, build_root_system, pair
+from .rootsys import Coweight, RootSystem, Weight, build_root_system, kappa, pair
 
 SCHEMA_VERSION = "sphdatum/1"
 
@@ -41,6 +42,9 @@ class ColorRecord:
 
 @dataclass(frozen=True)
 class SphericalDatum:
+    """A spherical datum.  Its derived facts (the color types, kappa, and
+    the spherical roots in the basis of M) are computed on first read and
+    kept; a derivation that raises is tried again on the next read."""
     rs: RootSystem
     Sp: frozenset
     colors: tuple[ColorRecord, ...]
@@ -56,6 +60,42 @@ class SphericalDatum:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+    @cached_property
+    def kinds(self) -> dict[str, ColorType]:
+        """The color types, as resolved_types gives them."""
+        return resolved_types(self)
+
+    @cached_property
+    def kappa(self) -> Weight:
+        """The B-weight 2 rho - 2 rho_Sp of the anticanonical section."""
+        return kappa(self.rs, self.Sp)
+
+    @cached_property
+    def m_independent(self) -> bool:
+        """Whether the basis of M is linearly independent."""
+        return linalg.rank([m.coords() for m in self.lattice_M]) == len(self.lattice_M)
+
+    @cached_property
+    def sigma_coords(self) -> tuple[list[Fraction] | None, ...]:
+        """Each spherical root's coordinates in the basis of M (one
+        solution when M is dependent), or None for a root outside span(M)."""
+        mvecs = [m.coords() for m in self.lattice_M]
+        return tuple(linalg.solve_columns(mvecs, s.coords()) for s in self.spherical_roots)
+
+    def cone_rows(self) -> tuple[list[Fraction], ...]:
+        """The spherical roots in the basis of M, as the valuation cone
+        needs them: both given, M independent and every root in span(M)."""
+        if self.spherical_roots is None:
+            raise InsufficientDataError("no spherical roots given")
+        if self.lattice_M is None:
+            raise InsufficientDataError("no lattice M given")
+        if not self.m_independent:
+            raise InconsistencyError("lattice M basis is dependent")
+        for i, x in enumerate(self.sigma_coords):
+            if x is None:
+                raise InconsistencyError(f"spherical root {i} lies outside span(M)")
+        return self.sigma_coords
 
 
 def compute_Sp(datum: SphericalDatum) -> frozenset:
@@ -243,13 +283,14 @@ def datum_from_json(doc) -> SphericalDatum:
 
     lattice_M = weight_list("M")
     sigma = weight_list("spherical_roots")
+    # built before the lattice checks, which then share its solve against M
+    datum = SphericalDatum(rs, Sp, tuple(colors), lattice_M, sigma, doc.get("boundary_count", 0))
 
     if sigma:
-        vecs = [s.coords() for s in sigma]
-        if linalg.rank(vecs) < len(sigma):
+        if linalg.rank([s.coords() for s in sigma]) < len(sigma):
             raise SchemaError("spherical_roots: not linearly independent")
         if lattice_M is not None:
-            outside = outside_lattice_m(lattice_M, sigma)
+            outside = outside_lattice_m(datum)
             if outside:
                 raise SchemaError(f"spherical_roots[{outside[0]}]: not in the lattice M")
     if lattice_M is not None:
@@ -257,11 +298,11 @@ def datum_from_json(doc) -> SphericalDatum:
             if c.rho_D is not None and not in_lattice_n(lattice_M, c.rho_D):
                 raise SchemaError(f"colors[{ci}].rho: not in N = Hom(M, Z)")
 
-    bc = doc.get("boundary_count", 0)
+    bc = datum.boundary_count
     if not isinstance(bc, int) or isinstance(bc, bool) or bc < 0:
         raise SchemaError("boundary_count: expected a nonnegative integer")
 
-    return SphericalDatum(rs, Sp, tuple(colors), lattice_M, sigma, bc)
+    return datum
 
 
 def datum_to_json(datum: SphericalDatum) -> dict:
@@ -294,19 +335,13 @@ def serialize_datum(datum: SphericalDatum) -> str:
 
 # ------------------------------------------------------------- lattices
 
-def outside_lattice_m(lattice_M, weights) -> list[int]:
-    """Indices of the weights outside the lattice M.  With M a basis, a
-    weight lies in M exactly when its unique rational coordinates in that
-    basis are integers.  A dependent M has no unique coordinates; there
-    only the span is tested, and the cone code rejects such an M."""
-    mvecs = [m.coords() for m in lattice_M]
-    out = []
-    for i, w in enumerate(weights):
-        x = linalg.solve_columns(mvecs, w.coords())
-        if x is None or (any(c.denominator != 1 for c in x)
-                         and linalg.rank(mvecs) == len(mvecs)):
-            out.append(i)
-    return out
+def outside_lattice_m(datum: SphericalDatum) -> list[int]:
+    """Indices of the spherical roots outside the lattice M.  With M a
+    basis, a root lies in M exactly when its unique rational coordinates
+    in that basis are integers.  A dependent M has no unique coordinates;
+    there only the span is tested, and the cone code rejects such an M."""
+    return [i for i, x in enumerate(datum.sigma_coords)
+            if x is None or (any(c.denominator != 1 for c in x) and datum.m_independent)]
 
 
 def in_lattice_n(lattice_M, rho_D: Coweight) -> bool:
@@ -317,7 +352,7 @@ def in_lattice_n(lattice_M, rho_D: Coweight) -> bool:
 
 # ------------------------------------------------------------- validation
 
-def validate_datum(datum: SphericalDatum, kinds=None) -> list[Finding]:
+def validate_datum(datum: SphericalDatum) -> list[Finding]:
     """Semantic consistency findings, deterministic and order-independent.
 
     Covers: Sp recomputation, |Delta(alpha)| <= 2, moved_by disjoint from
@@ -325,9 +360,6 @@ def validate_datum(datum: SphericalDatum, kinds=None) -> list[Finding]:
     N-membership of the colors' rho, agreement
     of declared types with the spherical-root classification, and the
     chi pairing table when enough data is present.
-
-    `kinds` passes down color types the caller has already resolved, or
-    {} when they do not resolve; when omitted they are resolved here.
     """
     rs = datum.rs
     out = []
@@ -362,7 +394,7 @@ def validate_datum(datum: SphericalDatum, kinds=None) -> list[Finding]:
         out.append(Finding("sigma-independent", "spherical_roots",
                            "linearly independent", "ok" if ok else "dependent", ok))
         if datum.lattice_M is not None:
-            outside = outside_lattice_m(datum.lattice_M, datum.spherical_roots)
+            outside = outside_lattice_m(datum)
             out.append(Finding("sigma-in-lattice-m", "spherical_roots",
                                "contained in the lattice M",
                                "ok" if not outside else f"outside at indices {outside}",
@@ -376,12 +408,13 @@ def validate_datum(datum: SphericalDatum, kinds=None) -> list[Finding]:
                                    "ok" if ok else "not integral on M", ok))
 
     declared = [c for c in datum.colors if c.declared_type is not None]
-    if kinds is None and (datum.spherical_roots is not None and declared
-                          or any(c.chi is not None for c in datum.colors)):
+    kinds = {}
+    if (datum.spherical_roots is not None and declared
+            or any(c.chi is not None for c in datum.colors)):
         try:
-            kinds = resolved_types(datum)
+            kinds = datum.kinds
         except DatumError:
-            kinds = {}
+            pass
 
     if datum.spherical_roots is not None:
         # resolved kinds agree with every declared type; only when they

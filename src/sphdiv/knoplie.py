@@ -253,12 +253,6 @@ def open_orbit_check(pres: LiePresentation) -> bool:
     return len(pres.b_echelon.rows) + linalg.rank(pres.h_residues) == algebra_dim(pres.blocks)
 
 
-def parabolic_basis(pres: LiePresentation, alpha: int) -> list[Element]:
-    """b extended by the negative root vector f_alpha."""
-    pres.rs._check_index(alpha)
-    return list(pres.b_basis) + [pres.triples[alpha][2]]
-
-
 def stabilizer_in_parabolic(pres: LiePresentation, alpha: int) -> list[Element]:
     """Basis of h & p_alpha, the kernel of h -> g/p_alpha, as linalg.span_basis
     gives it: the combinations of h whose residues against b and f_alpha

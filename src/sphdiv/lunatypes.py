@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InconsistencyError, InsufficientDataError
 from .report import Finding, sort_findings
-from .rootsys import kappa, pair
+from .rootsys import pair
 
 if TYPE_CHECKING:  # datum imports this module to validate types
     from .datum import ColorRecord, SphericalDatum
@@ -103,15 +103,14 @@ def audit_pairings(datum: SphericalDatum) -> list[Finding]:
     Types must be resolvable (declared or from spherical roots).
     """
     rs = datum.rs
-    kinds = resolved_types(datum)
+    kinds = datum.kinds
     out = chi_pairing_findings(datum, kinds)
 
-    kap = kappa(rs, datum.Sp)
     for c in datum.colors:
         if kinds[c.name] is ColorType.B:
             continue
         for i in c.moved_by:
-            got = pair(i, kap)
+            got = pair(i, datum.kappa)
             out.append(Finding("kappa-pairing", f"{c.name}:{rs.root_name(i)}",
                                "2", str(got), got == 2))
 

@@ -1,5 +1,6 @@
 """Built-in examples: every entry reproduces its frozen expected values
 and survives the full validation and serialization paths."""
+import dataclasses
 import hashlib
 import json
 
@@ -46,6 +47,24 @@ def test_entry_validates_clean(key, n):
     assert all_passed(validate_datum(entry.datum))
     if entry.datum.colors and all(c.chi is not None for c in entry.datum.colors):
         assert verify_decomposition(entry.datum)
+
+
+@pytest.mark.parametrize("key,n", ALL_ENTRIES)
+def test_datum_facts_match_their_functions_and_follow_a_replace(key, n):
+    d = builtin(key, n).datum
+    assert d.kinds == resolved_types(d)
+    assert d.kappa == kappa(d.rs, d.Sp)
+    if d.rs.rank:
+        flipped = dataclasses.replace(d, Sp=d.Sp ^ {0})
+        assert flipped.kappa == kappa(d.rs, flipped.Sp) != d.kappa
+        assert flipped.kinds == resolved_types(flipped)
+    if d.lattice_M and d.spherical_roots is not None:
+        assert d.m_independent
+        halves = tuple([x / 2 for x in xs] for xs in d.sigma_coords)
+        doubled = dataclasses.replace(d, lattice_M=tuple(m.scale(2) for m in d.lattice_M))
+        assert doubled.sigma_coords == halves
+        dependent = dataclasses.replace(d, lattice_M=d.lattice_M + d.lattice_M[:1])
+        assert not dependent.m_independent
 
 
 @pytest.mark.parametrize("key,n", ALL_ENTRIES)

@@ -2,12 +2,16 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-import sphdiv.anticanon
+import sphdiv
 import sphdiv.catalog
+import sphdiv.linalg
 import sphdiv.lunatypes
 import sphdiv.rootsys
 from sphdiv.cli import _build_parser, main
@@ -76,6 +80,20 @@ def test_roots_central_rank_cap(capsys):
     code, out, err = run(capsys, "roots", "T65")
     assert (code, out) == (2, "")
     assert "central rank 65 exceeds cap 64" in err
+
+
+def test_closed_pipe_exits_quietly():
+    # the 610 roots fill more than a pipe's buffer, so the writer sees the
+    # reader go away after the first line
+    env = dict(os.environ, PYTHONPATH=str(Path(sphdiv.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "sphdiv.cli", "roots", "A20xB20"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"A20xB20: 610 positive roots")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 # ---------------------------------------------------------------- sources
@@ -255,13 +273,12 @@ def test_presentation_readers_build_it_once(capsys, presentation_builds, argv):
 
 @pytest.fixture
 def fact_calls(monkeypatch):
-    """Calls of kappa, resolved_types, classify_luna and the cone data,
-    counted wherever sphdiv binds them."""
-    calls = {"kappa": 0, "resolved_types": 0, "classify_luna": 0, "_require_cone_data": 0}
+    """Calls of kappa, resolved_types and classify_luna, counted wherever
+    sphdiv binds them."""
+    calls = {"kappa": 0, "resolved_types": 0, "classify_luna": 0}
     for name, real in (("kappa", sphdiv.rootsys.kappa),
                        ("resolved_types", sphdiv.lunatypes.resolved_types),
-                       ("classify_luna", sphdiv.lunatypes.classify_luna),
-                       ("_require_cone_data", sphdiv.anticanon._require_cone_data)):
+                       ("classify_luna", sphdiv.lunatypes.classify_luna)):
         def counting(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -290,9 +307,25 @@ def test_luna_classifies_each_color_once(capsys, fact_calls, command):
     assert fact_calls["classify_luna"] == 3
 
 
-def test_cone_resolves_the_cone_data_once(capsys, fact_calls):
-    assert run(capsys, "cone", "catalog:brion_5_2")[0] == 0
-    assert fact_calls["_require_cone_data"] == 1
+def test_cone_resolves_the_cone_data_once(tmp_path, capsys, monkeypatch):
+    # the parse solves each spherical root against M; the cone reads that
+    datum = builtin("brion_5_2", None).datum
+    p = tmp_path / "d.json"
+    p.write_text(dump_document(datum, None))
+    mvecs = [tuple(m.coords()) for m in datum.lattice_M]
+    targets = []
+    real = sphdiv.linalg.solve_columns
+
+    roots = [tuple(s.coords()) for s in datum.spherical_roots]
+
+    def counting(cols, target):
+        if [tuple(c) for c in cols] == mvecs and tuple(target) in roots:
+            targets.append(tuple(target))
+        return real(cols, target)
+
+    monkeypatch.setattr(sphdiv.linalg, "solve_columns", counting)
+    assert run(capsys, "cone", str(p))[0] == 0
+    assert sorted(targets) == sorted(roots)
 
 
 def test_entry_presentation_is_built_once_and_kept(presentation_builds):

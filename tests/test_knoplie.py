@@ -14,7 +14,7 @@ from sphdiv.errors import (InconsistencyError, InsufficientDataError, SchemaErro
                            UnresolvedTypeError)
 from sphdiv.knoplie import (MAX_BLOCK_DIM, ImageClass, algebra_dim, bracket, classify_image,
                             classify_knop, dphi_project, element, image_for_root,
-                            make_presentation, open_orbit_check, parabolic_basis,
+                            make_presentation, open_orbit_check,
                             presentation_from_json, presentation_to_json,
                             resolve_torus_like, stabilizer_in_parabolic,
                             validate_presentation, _positive_root_vectors)
@@ -28,6 +28,11 @@ H = [[1, 0], [0, -1]]
 F = [[0, 0], [1, 0]]
 E_LO, H_LO, F_LO = F, [[-1, 0], [0, 1]], E
 ZERO2 = [[0, 0], [0, 0]]
+
+
+def parabolic_basis(pres, alpha):
+    """A basis of the parabolic p_alpha: b extended by f_alpha."""
+    return list(pres.b_basis) + [pres.triples[alpha][2]]
 
 
 def _mm(a, b):
@@ -306,13 +311,6 @@ def test_open_orbit_holds_for_twisted_diagonal():
 
 
 # ---------------------------------------------------------------- stabilizers
-
-def test_parabolic_basis_adds_f():
-    pres = builtin("sl2_mod_U", None).presentation
-    pb = parabolic_basis(pres, 0)
-    assert len(pb) == len(pres.b_basis) + 1
-    assert pb[-1] == pres.triples[0][2]
-
 
 def test_stabilizer_dims_untwisted_vs_twisted():
     untwisted = _triple_diag_pres(IDENTITY3)
