@@ -178,19 +178,15 @@ def cone_contains(cone: ValuationCone, v: Coweight) -> bool:
     return all(pair(v, s) <= 0 for s in cone.halfspaces)
 
 
-def _lift_functional(datum: SphericalDatum, x) -> Coweight:
-    """A coweight on the full character space restricting to the
-    functional mu_j -> x_j on the lattice basis.
-
-    The unknown v satisfies sum_r v_r mu_j[r] = x_j, so the columns of
-    the system are the coordinate slices (mu_0[r], mu_1[r], ...).
-    """
-    if not datum.lattice_M:
-        return Coweight((Fraction(0),) * (datum.rs.rank + datum.rs.central_rank))
-    sol = linalg.solve_columns(list(zip(*(mu.coords() for mu in datum.lattice_M))), tuple(x))
-    if sol is None:
+def _lift_functionals(datum: SphericalDatum, xs) -> list[Coweight]:
+    """For each x, a coweight on the full character space restricting to
+    the functional mu_j -> x_j on the lattice basis: a solution v of
+    sum_r mu_j[r] v_r = x_j, so the rows of the system are the mu_j."""
+    sols = linalg.solve([mu.coords() for mu in datum.lattice_M],
+                        datum.rs.rank + datum.rs.central_rank, xs)
+    if any(sol is None for sol in sols):
         raise InconsistencyError("lattice basis is dependent, cannot lift")
-    return Coweight(tuple(sol))
+    return [Coweight(tuple(sol)) for sol in sols]
 
 
 def cone_generator_directions(datum: SphericalDatum) -> list[Coweight]:
@@ -198,38 +194,26 @@ def cone_generator_directions(datum: SphericalDatum) -> list[Coweight]:
     the negated dual basis of the spherical roots plus both signs of a
     basis of the lineality space, all expressed against the M basis."""
     rows = datum.cone_rows()
-    m = len(datum.lattice_M)
-    s = len(rows)
-    dirs = []
-    if s:
-        for kidx in range(s):
-            e = [Fraction(0)] * s
-            e[kidx] = Fraction(1)
-            d = linalg.solve_columns(list(zip(*rows)), tuple(e))
-            # d has <sigma_i, d> = delta_{i,k}; the ray is its negation
-            if d is None:
-                raise InconsistencyError("spherical roots dependent in M coordinates")
-            dirs.append([-x for x in d])
-        lin = linalg.nullspace(rows)
-    else:
-        lin = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(m))
-               for i in range(m)]
-    for l in lin:
+    m, s = len(datum.lattice_M), len(rows)
+    # d_k has <sigma_i, d_k> = delta_{i,k}; the ray is its negation
+    duals = linalg.solve(rows, m, [[int(i == k) for i in range(s)] for k in range(s)])
+    if any(d is None for d in duals):
+        raise InconsistencyError("spherical roots dependent in M coordinates")
+    dirs = [[-x for x in d] for d in duals]
+    for l in linalg.nullspace(rows, m):
         dirs.append(list(l))
         dirs.append([-x for x in l])
-    return [_lift_functional(datum, d) for d in dirs]
+    return _lift_functionals(datum, dirs)
 
 
 def cone_interior_witness(datum: SphericalDatum) -> Coweight:
     """A point with <v, sigma> = -1 for every spherical root (strictly
     interior when there are any; the origin otherwise)."""
     rows = datum.cone_rows()
-    if not rows:
-        return _lift_functional(datum, [Fraction(0)] * len(datum.lattice_M))
-    x = linalg.solve_columns(list(zip(*rows)), (Fraction(-1),) * len(rows))
+    [x] = linalg.solve(rows, len(datum.lattice_M), [[-1] * len(rows)])
     if x is None:
         raise InconsistencyError("spherical roots dependent in M coordinates")
-    return _lift_functional(datum, x)
+    return _lift_functionals(datum, [x])[0]
 
 
 def uniqueness_certificate(datum: SphericalDatum) -> bool:
@@ -237,8 +221,8 @@ def uniqueness_certificate(datum: SphericalDatum) -> bool:
     i.e. the cone is full-dimensional in Hom(M, Q).  With independent
     spherical roots this always holds: the dual-basis point with every
     pairing -1 is an interior witness."""
-    rows = datum.cone_rows()
-    if rows and linalg.rank(rows) != len(rows):
+    datum.cone_rows()  # raises first when the cone data is missing or inconsistent
+    if not datum.sigma_independent:
         raise InconsistencyError("spherical roots dependent: no certificate")
     witness = cone_interior_witness(datum)
     if not cone_contains(valuation_cone(datum), witness):

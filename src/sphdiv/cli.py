@@ -225,6 +225,8 @@ def _cmd_antican(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.bound < 1:
+        raise _UsageError("--bound must be at least 1")
     datum, _ = _load_source(args.datum, args.n)
     return _emit_report(args, verify(datum, args.bound))
 

@@ -77,11 +77,18 @@ class SphericalDatum:
         return linalg.rank([m.coords() for m in self.lattice_M]) == len(self.lattice_M)
 
     @cached_property
+    def sigma_independent(self) -> bool:
+        """Whether the spherical roots are linearly independent."""
+        sigma = [s.coords() for s in self.spherical_roots]
+        return linalg.rank(sigma) == len(sigma)
+
+    @cached_property
     def sigma_coords(self) -> tuple[list[Fraction] | None, ...]:
         """Each spherical root's coordinates in the basis of M (one
         solution when M is dependent), or None for a root outside span(M)."""
         mvecs = [m.coords() for m in self.lattice_M]
-        return tuple(linalg.solve_columns(mvecs, s.coords()) for s in self.spherical_roots)
+        rows = [tuple(m[r] for m in mvecs) for r in range(self.rs.rank + self.rs.central_rank)]
+        return tuple(linalg.solve(rows, len(mvecs), [s.coords() for s in self.spherical_roots]))
 
     def cone_rows(self) -> tuple[list[Fraction], ...]:
         """The spherical roots in the basis of M, as the valuation cone
@@ -287,7 +294,7 @@ def datum_from_json(doc) -> SphericalDatum:
     datum = SphericalDatum(rs, Sp, tuple(colors), lattice_M, sigma, doc.get("boundary_count", 0))
 
     if sigma:
-        if linalg.rank([s.coords() for s in sigma]) < len(sigma):
+        if not datum.sigma_independent:
             raise SchemaError("spherical_roots: not linearly independent")
         if lattice_M is not None:
             outside = outside_lattice_m(datum)
@@ -389,8 +396,7 @@ def validate_datum(datum: SphericalDatum) -> list[Finding]:
                        "empty at " + ", ".join(empty) if empty else "ok", not empty))
 
     if datum.spherical_roots is not None and datum.spherical_roots:
-        vecs = [s.coords() for s in datum.spherical_roots]
-        ok = linalg.rank(vecs) == len(vecs)
+        ok = datum.sigma_independent
         out.append(Finding("sigma-independent", "spherical_roots",
                            "linearly independent", "ok" if ok else "dependent", ok))
         if datum.lattice_M is not None:

@@ -254,23 +254,23 @@ def open_orbit_check(pres: LiePresentation) -> bool:
 
 
 def stabilizer_in_parabolic(pres: LiePresentation, alpha: int) -> list[Element]:
-    """Basis of h & p_alpha, the kernel of h -> g/p_alpha, as linalg.span_basis
-    gives it: the combinations of h whose residues against b and f_alpha
-    cancel (all of h when no residue is left), mapped back through h."""
+    """Basis of h & p_alpha, the kernel of h -> g/p_alpha: the nullspace
+    combinations of h whose residues against b and f_alpha cancel (all of
+    h when no residue is left), mapped back through h."""
     pres.rs._check_index(alpha)
     parabolic = linalg.Echelon([pres.triples[alpha][2]], start=pres.b_echelon)
     residues = [parabolic.reduce(r) for r in pres.h_residues]
     rows = [tuple(r.get(j, 0) for r in residues) for j in sorted(set().union(*residues))]
     entries = [[(i, v) for i, v in enumerate(x) if v] for x in pres.h_basis]
     vecs = []
-    for combo in linalg.nullspace(rows or [(0,) * len(residues)]):
+    for combo in linalg.nullspace(rows, len(residues)):
         w = [Fraction(0)] * len(pres.h_basis[0])
         for c, xs in zip(combo, entries):
             if c:
                 for i, v in xs:
                     w[i] += c * v
         vecs.append(tuple(w))
-    return linalg.span_basis(vecs)
+    return vecs
 
 
 @lru_cache(maxsize=64)

@@ -2,8 +2,8 @@
 
 Vectors are tuples of Fractions, and an Echelon keeps its rows as
 sparse dicts of Fractions; no floats anywhere.  Echelon is the one
-elimination: rref, rank, in_span and solve_columns read their answers
-off it, and span_basis and nullspace read rref.
+elimination: rref, rank, in_span, solve and nullspace read their
+answers off it, and span_basis reads rref.
 """
 from __future__ import annotations
 
@@ -100,35 +100,40 @@ def in_span(vectors, v) -> bool:
     return Echelon(vectors).contains(v)
 
 
-def solve_columns(cols, target):
-    """One exact solution x of sum_j x_j cols[j] = target, or None.  The free
-    variables are 0, so the echelon rows, last first, give the pivot ones."""
-    cols, target = [tuple(c) for c in cols], tuple(target)
-    n, k = len(target), len(cols)
-    if any(len(c) != n for c in cols):
-        raise ValueError("column dimension mismatch")
-    ech = Echelon([[c[r] for c in cols] + [target[r]] for r in range(n)])
-    if k in ech.pivots:
-        return None
-    x = [Fraction(0)] * k
-    for p, row in zip(reversed(ech.pivots), reversed(ech.rows)):
-        x[p] = row.get(k, 0) - sum((v * x[j] for j, v in row.items() if p < j < k), Fraction(0))
-    return x
+def solve(rows, width, targets):
+    """For each target t, one exact x with rows @ x = t, or None when there
+    is none.  One echelon of the rows with every target appended as a
+    column: t is inconsistent exactly when a row with no entry among the
+    first `width` columns has one in t's column.  Free variables are 0."""
+    ech = _augmented(rows, width, targets)
+    bad = {j for p, row in zip(ech.pivots, ech.rows) if p >= width for j in row}
+    return [None if width + t in bad
+            else _back_substitute(ech, width, [Fraction(0)] * width, width + t)
+            for t in range(len(targets))]
 
 
-def nullspace(rows):
-    """Basis of {x : rows @ x = 0} via the standard free-variable trick."""
+def nullspace(rows, width):
+    """Basis of {x : rows @ x = 0} for x of length `width`: one vector per
+    free column f, 1 at f and 0 at the other free columns."""
+    ech = _augmented(rows, width, ())
+    return [tuple(_back_substitute(ech, width, [Fraction(int(j == f)) for j in range(width)]))
+            for f in range(width) if f not in ech.pivots]
+
+
+def _augmented(rows, width, targets) -> Echelon:
+    """The echelon of [rows | targets as columns]."""
     rows = [tuple(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(tuple(v))
-    return basis
+    if any(len(r) != width for r in rows) or any(len(t) != len(rows) for t in targets):
+        raise ValueError("dimension mismatch")
+    return Echelon([r + tuple(t[i] for t in targets) for i, r in enumerate(rows)])
+
+
+def _back_substitute(ech: Echelon, width: int, x: list, col=None) -> list:
+    """Fill in the pivot entries of x, its free entries already set, so
+    that the rows map x to their column `col` (to 0 when None): each row
+    with its pivot among the first `width` columns, last first."""
+    for p, row in zip(reversed(ech.pivots), reversed(ech.rows)):
+        if p < width:
+            x[p] = row.get(col, 0) - sum((v * x[j] for j, v in row.items() if p < j < width),
+                                         Fraction(0))
+    return x

@@ -377,7 +377,7 @@ def _two_rho_coeffs(rs: RootSystem, I: list[int]) -> dict:
     """2 rho of <I> in simple-root coordinates: the solution c of
     C_I c = (2, ..., 2), unique since a finite-type Cartan matrix is
     invertible."""
-    x = linalg.solve_columns([[rs.cartan[i][j] for i in I] for j in I], [2] * len(I))
+    [x] = linalg.solve([[rs.cartan[i][j] for j in I] for i in I], len(I), [[2] * len(I)])
     return dict(zip(I, x))
 
 

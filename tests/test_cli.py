@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, table/JSON parity, datum sources."""
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -308,24 +309,65 @@ def test_luna_classifies_each_color_once(capsys, fact_calls, command):
 
 
 def test_cone_resolves_the_cone_data_once(tmp_path, capsys, monkeypatch):
-    # the parse solves each spherical root against M; the cone reads that
+    # the parse solves every spherical root against M in one call; the
+    # cone reads that
     datum = builtin("brion_5_2", None).datum
     p = tmp_path / "d.json"
     p.write_text(dump_document(datum, None))
-    mvecs = [tuple(m.coords()) for m in datum.lattice_M]
-    targets = []
-    real = sphdiv.linalg.solve_columns
-
+    m_rows = list(zip(*(m.coords() for m in datum.lattice_M)))
     roots = [tuple(s.coords()) for s in datum.spherical_roots]
+    solved = []
+    real = sphdiv.linalg.solve
 
-    def counting(cols, target):
-        if [tuple(c) for c in cols] == mvecs and tuple(target) in roots:
-            targets.append(tuple(target))
-        return real(cols, target)
+    def counting(rows, width, targets):
+        targets = [tuple(t) for t in targets]
+        if [tuple(r) for r in rows] == m_rows and set(targets) & set(roots):
+            solved.append(targets)
+        return real(rows, width, targets)
 
-    monkeypatch.setattr(sphdiv.linalg, "solve_columns", counting)
+    monkeypatch.setattr(sphdiv.linalg, "solve", counting)
     assert run(capsys, "cone", str(p))[0] == 0
-    assert sorted(targets) == sorted(roots)
+    assert solved == [roots]
+
+
+@pytest.mark.parametrize("command", ["verify", "validate"])
+def test_sigma_independence_is_eliminated_once(tmp_path, capsys, monkeypatch, command):
+    # parse_datum and the sigma-independent finding share one rank; M,
+    # which is the list of spherical roots, is written reversed so that
+    # the rank of M is told apart
+    datum = builtin("brion_5_2", None).datum
+    datum = dataclasses.replace(datum, lattice_M=datum.spherical_roots[::-1])
+    p = tmp_path / "d.json"
+    p.write_text(dump_document(datum, None))
+    roots = [tuple(s.coords()) for s in datum.spherical_roots]
+    calls = []
+    real = sphdiv.linalg.rank
+
+    def counting(rows):
+        rows = [tuple(r) for r in rows]
+        calls.extend([rows] if rows == roots else [])
+        return real(rows)
+
+    monkeypatch.setattr(sphdiv.linalg, "rank", counting)
+    assert run(capsys, command, str(p))[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command,most", [("cone", 7), ("validate", 2)])
+def test_one_elimination_per_linear_system(capsys, monkeypatch, command, most):
+    # each linear system of the datum side is one Echelon, whatever the
+    # number of its right-hand sides
+    built = []
+    real = sphdiv.linalg.Echelon
+
+    class Counting(real):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sphdiv.linalg, "Echelon", Counting)
+    assert run(capsys, command, "catalog:brion_5_3", "--n", "10")[0] == 0
+    assert len(built) <= most
 
 
 def test_entry_presentation_is_built_once_and_kept(presentation_builds):
@@ -423,6 +465,14 @@ def test_verify_skips_enumeration_over_cap(capsys):
     assert code == 0  # skips are not failures
     assert any("enumeration" in s for s in doc["skipped"])
     assert not any(f["check"] == "enumeration" for f in doc["findings"])
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_verify_bound_below_one_is_usage_error(capsys, bound):
+    code, out, err = run(capsys, "verify", "catalog:brion_5_2", "--bound", bound)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --bound must be at least 1\n"
 
 
 def test_verify_flags_inconsistent_file(tmp_path, capsys):

@@ -2,14 +2,11 @@
 Gauss-Jordan oracle, brute force and random-instance properties."""
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphdiv import linalg
-from sphdiv.linalg import (Echelon, in_span, nullspace, rank, rref, solve_columns,
-                           span_basis)
+from sphdiv.linalg import Echelon, in_span, nullspace, rank, rref, solve, span_basis
 
 
 def F(x):
@@ -53,7 +50,7 @@ def dense_rref(rows):
 def dense_solve_columns(cols, target):
     """One solution of sum_j x_j cols[j] = target with the free variables
     0, read off the dense reduced form of the augmented matrix; or None.
-    The oracle for linalg.solve_columns."""
+    The oracle for linalg.solve, whose rows are the transposed columns."""
     cols = [tuple(c) for c in cols]
     n, k = len(target), len(cols)
     red, pivots = dense_rref([[c[r] for c in cols] + [target[r]] for r in range(n)])
@@ -63,6 +60,21 @@ def dense_solve_columns(cols, target):
     for i, c in enumerate(pivots):
         x[c] = red[i][k]
     return x
+
+
+def dense_nullspace(rows, width):
+    """Basis of {x : rows @ x = 0} by the free-variable trick over the
+    dense reduced form.  The oracle for linalg.nullspace."""
+    red, pivots = dense_rref(rows)
+    basis = []
+    for fc in range(width):
+        if fc not in pivots:
+            v = [F(0)] * width
+            v[fc] = F(1)
+            for i, pc in enumerate(pivots):
+                v[pc] = -red[i][fc]
+            basis.append(tuple(v))
+    return basis
 
 
 def intersect(us, vs):
@@ -76,7 +88,7 @@ def intersect(us, vs):
     dim = len(us[0])
     rows = [tuple([u[r] for u in us] + [-v[r] for v in vs]) for r in range(dim)]
     vecs = [tuple(sum(c * u[r] for c, u in zip(combo, us)) for r in range(dim))
-            for combo in nullspace(rows)]
+            for combo in dense_nullspace(rows, len(us) + len(vs))]
     return span_basis([v for v in vecs if any(v)])
 
 
@@ -154,23 +166,34 @@ def test_rank_invariant_under_shuffle(mat):
 # ---------------------------------------------------------------- solve
 
 def test_solve_columns_exact():
-    # columns of [[1,1],[0,1]]: x*(1,0) + y*(1,1) = (3,2) -> x=1, y=2
-    cols = [(F(1), F(0)), (F(1), F(1))]
-    x = solve_columns(cols, (F(3), F(2)))
-    assert x == [F(1), F(2)]
+    # [[1,1],[0,1]] (x, y) = (3,2) -> x=1, y=2
+    assert solve(_rows([[1, 1], [0, 1]]), 2, [(F(3), F(2))]) == [[F(1), F(2)]]
 
 
 def test_solve_columns_inconsistent():
-    cols = [(F(1), F(2))]
-    assert solve_columns(cols, (F(1), F(0))) is None
+    assert solve(_rows([[1], [2]]), 1, [(F(1), F(0))]) == [None]
 
 
 def test_solve_columns_underdetermined_free_vars_zero():
-    cols = [(F(1),), (F(1),)]
-    x = solve_columns(cols, (F(5),))
+    [x] = solve(_rows([[1, 1]]), 2, [(F(5),)])
     assert x is not None
     assert _dot(x, (F(1), F(1))) == F(5)
     assert x == [F(5), F(0)]
+
+
+def test_solve_and_nullspace_edge_cases():
+    # no equations: every target (of length 0) is solved by 0, and the
+    # kernel is everything
+    assert solve([], 3, [(), ()]) == [[F(0)] * 3] * 2
+    assert nullspace([], 3) == [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    # no unknowns: only the zero target is solved
+    assert solve([(), ()], 0, [(0, 0), (0, 1)]) == [[], None]
+    assert nullspace([(), ()], 0) == [] and nullspace([], 0) == []
+    # no targets
+    assert solve(_rows([[1, 2]]), 2, []) == []
+    for rows, width, targets in (([(1, 2)], 3, []), ([(1, 2)], 2, [(1, 2)]), ([], 1, [(1,)])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(rows, width, targets)
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,7 +207,7 @@ def test_solve_columns_verifies(mat, coeff):
     for c, col in zip(coeff, cols):
         for i, v in enumerate(col):
             target[i] += c * v
-    x = solve_columns(cols, tuple(target))
+    [x] = solve(list(zip(*cols)), len(cols), [target])
     assert x is not None
     got = [F(0)] * 3
     for c, col in zip(x, cols):
@@ -196,11 +219,11 @@ def test_solve_columns_verifies(mat, coeff):
 # ---------------------------------------------------------------- nullspace
 
 def test_nullspace_full_rank_is_trivial():
-    assert nullspace(_rows([[1, 0], [0, 1]])) == []
+    assert nullspace(_rows([[1, 0], [0, 1]]), 2) == []
 
 
 def test_nullspace_known_kernel():
-    basis = nullspace(_rows([[1, 1, 0]]))
+    basis = nullspace(_rows([[1, 1, 0]]), 3)
     assert len(basis) == 2
     for v in basis:
         assert _dot((F(1), F(1), F(0)), v) == 0
@@ -210,7 +233,7 @@ def test_nullspace_known_kernel():
 @given(st.lists(st.lists(small, min_size=4, max_size=4), min_size=1, max_size=3))
 def test_nullspace_dimension_and_membership(mat):
     rows = _rows(mat)
-    basis = nullspace(rows)
+    basis = nullspace(rows, 4)
     assert len(basis) == 4 - rank(rows)
     for v in basis:
         assert all(x == 0 for x in _matvec(rows, v))
@@ -398,12 +421,13 @@ def test_kernel_matches_dense_oracle(case):
                                for k in (0, 1)]
     for v in probes:
         assert in_span(rows, v) == dense_in_span(rows, v)
-    # solve_columns reads an echelon: against the dense oracle, entry types included
-    for v in probes:
-        got = solve_columns(rows, v)
-        assert got == dense_solve_columns(rows, v)
-        assert got is None or all(type(x) is Fraction for x in got)
-    # nullspace reads rref: against it, and with the oracle read instead
-    got = nullspace(rows)
-    with mock.patch.object(linalg, "rref", dense_rref):
-        assert got == nullspace(rows)
+    # one solve with the rows as columns takes every probe at once, those
+    # in their span and those outside it: against the dense oracle, probe
+    # by probe, entry types included
+    got = solve([tuple(r[j] for r in rows) for j in range(ncols)], len(rows), probes)
+    assert got == [dense_solve_columns(rows, v) for v in probes]
+    assert all(x is None or all(type(c) is Fraction for c in x) for x in got)
+    # nullspace reads an echelon: against the dense free-variable oracle
+    got = nullspace(rows, ncols)
+    assert got == dense_nullspace(rows, ncols)
+    assert all(type(c) is Fraction for x in got for c in x)
